@@ -149,6 +149,7 @@ struct RunResult {
   uint64_t block_count = 0;
   uint64_t sent = 0;
   uint64_t received = 0;
+  uint64_t heap_calls = 0;  // Global operator new calls during the run.
   double mcycles_per_sec = 0;
   ExpressStats express;
 
@@ -205,6 +206,7 @@ RunResult RunOne(Scenario scenario, bool skip_enabled, bool express,
 
   // Host wall time is the measurand here (simulated cycles per wall-second);
   // it never feeds back into simulated state, so determinism is unaffected.
+  const uint64_t heap0 = HeapAllocCalls();
   const auto t0 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
   if (psim.has_value()) {
     psim->Run(run_cycles);
@@ -214,6 +216,7 @@ RunResult RunOne(Scenario scenario, bool skip_enabled, bool express,
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
 
   RunResult r;
+  r.heap_calls = HeapAllocCalls() - heap0;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.end_cycle = bb.sim.now();
   r.skipped_cycles = bb.sim.skipped_cycles();
@@ -322,6 +325,8 @@ int main(int argc, char** argv) {
     json.Metric("wake_calls", on.wake_calls);
     json.Metric("requests", on.sent);
     json.Metric("responses", on.received);
+    json.Metric("heap_calls", on.heap_calls);
+    json.Metric("allocs_per_msg", PerMessage(on.heap_calls, on.received));
     json.Metric("express_hits", on.express.delivered);
     json.Metric("express_launches", on.express.launches);
     json.Metric("materializations", on.express.materializations);

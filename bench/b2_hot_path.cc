@@ -8,8 +8,9 @@
 // client/service pairs, mixed small (inline-tier) and large (arena-tier)
 // payloads — and measures:
 //   * end-to-end throughput (messages per wall-second, Mcycles/s);
-//   * steady-state heap allocations per delivered message, counted from the
-//     pool/arena ledgers after a warmup window (target: ~0);
+//   * steady-state heap allocations per delivered message: real global
+//     operator new calls after a warmup window (bench_util.h's counting
+//     shim), beside the pool/arena ledger's own fallback count;
 //   * pool reuse ratio after warmup (target: >= 99%).
 // The `--no-pool` ablation re-runs the identical seeded scenario with the
 // pool and arena disabled and the legacy allocate-and-copy serialization
@@ -95,10 +96,11 @@ struct RunResult {
   uint64_t flits = 0;      // Flits routed inside the measured window.
   uint64_t acquires = 0;
   uint64_t pool_hits = 0;
-  uint64_t heap_allocs = 0;      // Pool misses inside the measured window.
+  uint64_t pool_fallbacks = 0;   // Pool misses inside the measured window.
   uint64_t arena_allocs = 0;     // Arena chunk news inside the measured window.
+  uint64_t heap_calls = 0;       // Global operator new calls inside the window.
   double reuse_pct = 0;          // pool_hits / acquires.
-  double allocs_per_msg = 0;     // (heap_allocs + arena_allocs) / received.
+  double allocs_per_msg = 0;     // heap_calls / received.
   double msgs_per_wall_sec = 0;
   double mcycles_per_sec = 0;
   uint64_t ticked_blocks = 0;    // Block-ticks issued inside the measured window.
@@ -182,6 +184,7 @@ RunResult RunConfig(bool pooled, Cycle warmup_cycles, Cycle measure_cycles,
   const uint64_t executed0 = bb.sim.executed_cycles();
   const uint64_t wheel0 = bb.sim.wheel_wakes();
   const uint64_t wake0 = bb.sim.wake_calls();
+  const uint64_t heap0 = HeapAllocCalls();
 
   // Host wall time is the measurand; it never feeds back into simulated
   // state, so determinism is unaffected.
@@ -190,6 +193,7 @@ RunResult RunConfig(bool pooled, Cycle warmup_cycles, Cycle measure_cycles,
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
 
   RunResult r;
+  r.heap_calls = HeapAllocCalls() - heap0;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   for (const SaturatingClient* c : clients) {
     r.sent += c->sent();
@@ -207,7 +211,7 @@ RunResult RunConfig(bool pooled, Cycle warmup_cycles, Cycle measure_cycles,
   const PacketPoolStats pool = bb.board.mesh().AggregatePoolStats();
   r.acquires = pool.acquires;
   r.pool_hits = pool.pool_hits;
-  r.heap_allocs = pool.heap_allocs;
+  r.pool_fallbacks = pool.heap_allocs;
   r.arena_allocs = bb.sim.context().arena().stats().chunk_allocs;
   if (psim.has_value()) {
     for (uint32_t sh = 0; sh < psim->shards(); ++sh) {
@@ -217,9 +221,7 @@ RunResult RunConfig(bool pooled, Cycle warmup_cycles, Cycle measure_cycles,
   r.reuse_pct =
       r.acquires > 0 ? 100.0 * static_cast<double>(r.pool_hits) / static_cast<double>(r.acquires)
                      : 0;
-  r.allocs_per_msg = r.received > 0 ? static_cast<double>(r.heap_allocs + r.arena_allocs) /
-                                          static_cast<double>(r.received)
-                                    : 0;
+  r.allocs_per_msg = PerMessage(r.heap_calls, r.received);
   r.msgs_per_wall_sec =
       r.wall_seconds > 0 ? static_cast<double>(r.received) / r.wall_seconds : 0;
   r.mcycles_per_sec =
@@ -242,8 +244,9 @@ void EmitRow(BenchJson& json, const char* config, const RunResult& r) {
   json.Metric("packet_acquires", r.acquires);
   json.Metric("pool_hits", r.pool_hits);
   json.Metric("pool_reuse_pct", r.reuse_pct);
-  json.Metric("heap_allocs", r.heap_allocs);
+  json.Metric("pool_fallbacks", r.pool_fallbacks);
   json.Metric("arena_chunk_allocs", r.arena_allocs);
+  json.Metric("heap_calls", r.heap_calls);
   json.Metric("allocs_per_msg", r.allocs_per_msg);
   json.Metric("ticked_blocks", r.ticked_blocks);
   json.Metric("executed_cycles", r.executed_cycles);

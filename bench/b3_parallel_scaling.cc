@@ -11,8 +11,10 @@
 //     clones at the cuts);
 //   * steady-state allocation discipline on the handoff path: after warmup,
 //     the pool and arena ledgers (summed over the root and every shard
-//     domain) must record ZERO heap allocations — boundary rings are
+//     domain) must record ZERO fallbacks — boundary rings are
 //     preallocated, clones come from the receiver shard's pool freelist.
+//     Real heap calls per message (bench_util.h's counting shim) are
+//     reported beside them.
 //
 // Honesty note: speedup is bounded by the host's physical cores. On a
 // single-core CI container threads=2/4 cannot beat threads=1 (the workers
@@ -101,8 +103,9 @@ struct RunResult {
   uint64_t flits = 0;       // Flits routed inside the measured window.
   uint64_t handed_off = 0;  // Boundary-ring flit records (whole run).
   uint64_t cloned = 0;      // Cut-crossing head flits cloned (whole run).
-  uint64_t heap_allocs = 0;   // Pool misses inside the measured window.
-  uint64_t arena_allocs = 0;  // Arena chunk news inside the measured window.
+  uint64_t pool_fallbacks = 0;  // Pool misses inside the measured window.
+  uint64_t arena_allocs = 0;    // Arena chunk news inside the measured window.
+  uint64_t heap_calls = 0;      // Global operator new calls inside the window.
   uint64_t ticked_blocks = 0;    // Block-ticks issued inside the measured window.
   uint64_t executed_cycles = 0;  // Cycles executed inside the measured window.
   uint64_t wheel_wakes = 0;
@@ -180,6 +183,7 @@ RunResult RunOne(uint32_t threads, bool express, Cycle warmup_cycles,
   const uint64_t executed0 = bb.sim.executed_cycles();
   const uint64_t wheel0 = bb.sim.wheel_wakes();
   const uint64_t wake0 = bb.sim.wake_calls();
+  const uint64_t heap0 = HeapAllocCalls();
 
   // Host wall time is the measurand; it never feeds back into simulated
   // state, so determinism is unaffected.
@@ -188,6 +192,7 @@ RunResult RunOne(uint32_t threads, bool express, Cycle warmup_cycles,
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
 
   RunResult r;
+  r.heap_calls = HeapAllocCalls() - heap0;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.mcycles_per_sec =
       r.wall_seconds > 0 ? static_cast<double>(measure_cycles) / r.wall_seconds / 1e6 : 0;
@@ -201,7 +206,7 @@ RunResult RunOne(uint32_t threads, bool express, Cycle warmup_cycles,
   r.handed_off = bb.board.mesh().BoundaryFlitsHandedOff();
   r.cloned = bb.board.mesh().BoundaryPacketsCloned();
   const PacketPoolStats pool = bb.board.mesh().AggregatePoolStats();
-  r.heap_allocs = pool.heap_allocs;
+  r.pool_fallbacks = pool.heap_allocs;
   r.arena_allocs = bb.sim.context().arena().stats().chunk_allocs;
   for (uint32_t s = 0; s < psim.shards(); ++s) {
     r.arena_allocs += psim.shard_context(s)->arena().stats().chunk_allocs;
@@ -246,7 +251,7 @@ int main(int argc, char** argv) {
 
   Table table("B3: simulated Mcycles per wall-second vs worker threads");
   table.SetHeader({"threads", "Mcyc/s", "speedup", "msgs", "flits",
-                   "boundary flits", "clones", "heap allocs"});
+                   "boundary flits", "clones", "pool fallbacks", "allocs/msg"});
 
   std::vector<uint32_t> configs;
   for (uint32_t t : {1u, 2u, 4u}) {
@@ -275,11 +280,11 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(baseline.flits));
       rc = 1;
     }
-    if (r.heap_allocs != 0 || r.arena_allocs != 0) {
+    if (r.pool_fallbacks != 0 || r.arena_allocs != 0) {
       std::fprintf(stderr,
                    "B3 FAIL: steady-state allocations on the handoff path "
                    "(threads=%u: %llu pool misses, %llu arena chunks)\n",
-                   threads, static_cast<unsigned long long>(r.heap_allocs),
+                   threads, static_cast<unsigned long long>(r.pool_fallbacks),
                    static_cast<unsigned long long>(r.arena_allocs));
       rc = 1;
     }
@@ -288,7 +293,8 @@ int main(int argc, char** argv) {
     table.AddRow({Table::Int(threads), Table::Num(r.mcycles_per_sec, 2),
                   Table::Num(speedup, 2), Table::Int(r.received), Table::Int(r.flits),
                   Table::Int(r.handed_off), Table::Int(r.cloned),
-                  Table::Int(r.heap_allocs + r.arena_allocs)});
+                  Table::Int(r.pool_fallbacks + r.arena_allocs),
+                  Table::Num(PerMessage(r.heap_calls, r.received), 3)});
     json.BeginRow();
     json.Metric("threads", static_cast<uint64_t>(threads));
     json.Metric("wall_seconds", r.wall_seconds);
@@ -298,8 +304,10 @@ int main(int argc, char** argv) {
     json.Metric("flits", r.flits);
     json.Metric("boundary_flits", r.handed_off);
     json.Metric("boundary_clones", r.cloned);
-    json.Metric("heap_allocs", r.heap_allocs);
+    json.Metric("pool_fallbacks", r.pool_fallbacks);
     json.Metric("arena_chunk_allocs", r.arena_allocs);
+    json.Metric("heap_calls", r.heap_calls);
+    json.Metric("allocs_per_msg", PerMessage(r.heap_calls, r.received));
     json.Metric("ticked_blocks", r.ticked_blocks);
     json.Metric("executed_cycles", r.executed_cycles);
     json.Metric("active_fraction", r.ActiveFraction());

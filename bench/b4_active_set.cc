@@ -181,6 +181,7 @@ struct BoardResult {
   uint64_t sent = 0;
   uint64_t received = 0;
   uint64_t flits = 0;
+  uint64_t heap_calls = 0;  // Global operator new calls during the run.
   uint64_t ticked_blocks = 0;
   uint64_t executed_cycles = 0;
   uint64_t block_count = 0;
@@ -259,11 +260,13 @@ BoardResult RunBoard(bool active_set, bool active_sweep, bool express,
     (void)os.GrantSendToService(ct, echo_svc);
   }
 
+  const uint64_t heap0 = HeapAllocCalls();
   const auto t0 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
   bb.sim.Run(run_cycles);
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
 
   BoardResult r;
+  r.heap_calls = HeapAllocCalls() - heap0;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.mcycles_per_sec =
       r.wall_seconds > 0 ? static_cast<double>(run_cycles) / r.wall_seconds / 1e6 : 0;
@@ -388,6 +391,8 @@ int main(int argc, char** argv) {
     json.Metric("activeset_mcycles_per_sec", bon.mcycles_per_sec);
     json.Metric("speedup", ratio);
     json.Metric("messages", bon.received);
+    json.Metric("heap_calls", bon.heap_calls);
+    json.Metric("allocs_per_msg", PerMessage(bon.heap_calls, bon.received));
     json.Metric("active_fraction", bon.ActiveFraction());
     json.Metric("mesh_active_sweep", no_active_sweep ? 0 : 1);
     json.Metric("express_hits", bon.express.delivered);

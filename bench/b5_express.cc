@@ -141,6 +141,7 @@ struct RunResult {
   uint64_t sent = 0;
   uint64_t received = 0;
   uint64_t flits = 0;
+  uint64_t heap_calls = 0;  // Global operator new calls during the run.
   ExpressStats express;
 
   double MeanCorridorHops() const {
@@ -185,11 +186,13 @@ RunResult RunSweepPoint(Cycle period, bool express, Cycle run_cycles) {
     (void)os.GrantSendToService(ct, svc);
   }
 
+  const uint64_t heap0 = HeapAllocCalls();
   const auto t0 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
   bb.sim.Run(run_cycles);
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
 
   RunResult r;
+  r.heap_calls = HeapAllocCalls() - heap0;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.mcycles_per_sec =
       r.wall_seconds > 0 ? static_cast<double>(run_cycles) / r.wall_seconds / 1e6 : 0;
@@ -225,11 +228,13 @@ RunResult RunSaturated(bool express, Cycle run_cycles) {
     (void)os.GrantSendToService(ct, svc);
   }
 
+  const uint64_t heap0 = HeapAllocCalls();
   const auto t0 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
   bb.sim.Run(run_cycles);
   const auto t1 = std::chrono::steady_clock::now();  // NOLINT(apiary-determinism): host wall time is the measurand, never fed back into sim state
 
   RunResult r;
+  r.heap_calls = HeapAllocCalls() - heap0;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.mcycles_per_sec =
       r.wall_seconds > 0 ? static_cast<double>(run_cycles) / r.wall_seconds / 1e6 : 0;
@@ -321,6 +326,7 @@ int main(int argc, char** argv) {
     json.Metric("mean_corridor_hops", on.MeanCorridorHops());
     json.Metric("express_flits", on.express.flits_delivered);
     json.Metric("responses", on.received);
+    json.Metric("allocs_per_msg", PerMessage(on.heap_calls, on.received));
   }
   table.Print();
 
@@ -348,6 +354,7 @@ int main(int argc, char** argv) {
     json.Metric("express_launches", son.express.launches);
     json.Metric("materializations", son.express.materializations);
     json.Metric("mean_corridor_hops", son.MeanCorridorHops());
+    json.Metric("allocs_per_msg", PerMessage(son.heap_calls, son.received));
   }
 
   const std::string json_path = JsonPathArg(argc, argv);

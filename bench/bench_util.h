@@ -1,11 +1,18 @@
 // Shared setup helpers for the benchmark harnesses.
+//
+// Also replaces the global operator new with a counting shim, so a bench's
+// allocs_per_msg is real heap calls rather than a pool ledger. Each bench
+// is one translation unit, which is what lets this header define the
+// (non-inline, by rule) replacement functions.
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -18,6 +25,37 @@
 #include "src/services/network_service.h"
 #include "src/sim/simulator.h"
 #include "src/stats/table.h"
+
+namespace apiary {
+
+// Global operator new calls since process start (every thread).
+inline std::atomic<uint64_t> g_heap_alloc_calls{0};
+inline uint64_t HeapAllocCalls() { return g_heap_alloc_calls.load(std::memory_order_relaxed); }
+
+inline double PerMessage(uint64_t count, uint64_t messages) {
+  return messages > 0 ? static_cast<double>(count) / static_cast<double>(messages) : 0;
+}
+
+}  // namespace apiary
+
+// The array and nothrow forms forward to these two by default, and the
+// default deletes accept memory from a replaced operator new. Kept out of
+// line so the compiler never pairs an inlined malloc with a library delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  apiary::g_heap_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t align) {
+  apiary::g_heap_alloc_calls.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, ((n == 0 ? 1 : n) + a - 1) / a * a)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
 
 namespace apiary {
 

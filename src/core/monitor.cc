@@ -40,15 +40,15 @@ void Monitor::FailStop(const std::string& reason) {
   // Drain: work queued by the dead accelerator is discarded; queued inbound
   // requests are bounced with kDestFailed so clients fail fast instead of
   // timing out. Peers that keep talking to us get bounced in BeginCycle.
-  counters_.Add("monitor.drained_inbox", inbox_.size());
-  counters_.Add("monitor.drained_outbox", outbox_.size());
+  counters_.Add(drained_inbox_id_, inbox_.size());
+  counters_.Add(drained_outbox_id_, outbox_.size());
   outbox_.clear();
   for (const Message& msg : inbox_) {
     BounceWithError(msg, MsgStatus::kDestFailed);
   }
   inbox_.clear();
   Trace(TraceEvent::kFault, kInvalidTile, service_, 0, MsgStatus::kDestFailed);
-  counters_.Add("monitor.fail_stops");
+  counters_.Add(fail_stops_id_);
   // The drain may have queued bounces that only the tile's tick can flush
   // onto the NoC — and external callers (kernel, watchdog) reach a parked
   // tile with no wake of their own.
@@ -63,12 +63,12 @@ void Monitor::Restart() {
   outbox_.clear();
   reply_rights_.clear();
   pending_responses_.clear();
-  counters_.Add("monitor.restarts");
+  counters_.Add(restarts_id_);
 }
 
 void Monitor::RaiseFault(const std::string& reason) {
   accelerator_faulted_ = true;
-  counters_.Add("monitor.accel_faults");
+  counters_.Add(accel_faults_id_);
   // The owning Tile decides between fail-stop and preemption based on the
   // accelerator's capabilities; record the reason for it.
   fault_reason_ = reason;
@@ -96,12 +96,12 @@ bool Monitor::EnqueuePacket(const Message& msg, TileId dst_tile) {
 
 SendResult Monitor::Send(Message msg, CapRef endpoint, CapRef mem, CapRef mem2) {
   if (fault_state_ != TileFaultState::kHealthy) {
-    counters_.Add("monitor.send_tile_stopped");
+    counters_.Add(send_tile_stopped_id_);
     return SendResult{MsgStatus::kTileStopped};
   }
   const Capability* cap = cap_table_.Lookup(endpoint);
   if (cap == nullptr || cap->kind != CapKind::kEndpoint || !cap->HasRights(kRightSend)) {
-    counters_.Add("monitor.send_no_cap");
+    counters_.Add(send_no_cap_id_);
     Trace(TraceEvent::kDenySend, kInvalidTile, msg.dst_service, msg.opcode,
           MsgStatus::kNoCapability);
     return SendResult{MsgStatus::kNoCapability};
@@ -115,12 +115,12 @@ SendResult Monitor::Send(Message msg, CapRef endpoint, CapRef mem, CapRef mem2) 
 
 SendResult Monitor::Reply(const Message& request, Message response, CapRef mem) {
   if (fault_state_ != TileFaultState::kHealthy) {
-    counters_.Add("monitor.send_tile_stopped");
+    counters_.Add(send_tile_stopped_id_);
     return SendResult{MsgStatus::kTileStopped};
   }
   auto it = reply_rights_.find(request.src_tile);
   if (it == reply_rights_.end() || it->second == 0) {
-    counters_.Add("monitor.reply_no_right");
+    counters_.Add(reply_no_right_id_);
     Trace(TraceEvent::kDenySend, request.src_tile, request.src_service, response.opcode,
           MsgStatus::kNoCapability);
     return SendResult{MsgStatus::kNoCapability};
@@ -156,12 +156,9 @@ SendResult Monitor::SendInternal(Message msg, TileId dst_tile, CapRef mem, CapRe
   // otherwise scrub whatever the untrusted logic wrote there.
   msg.grant = SegmentGrant{};
   msg.grant2 = SegmentGrant{};
-  if (mem != kInvalidCapRef && !FillGrant(mem, &msg.grant)) {
-    counters_.Add("monitor.send_bad_mem_cap");
-    return SendResult{MsgStatus::kNoCapability};
-  }
-  if (mem2 != kInvalidCapRef && !FillGrant(mem2, &msg.grant2)) {
-    counters_.Add("monitor.send_bad_mem_cap");
+  if ((mem != kInvalidCapRef && !FillGrant(mem, &msg.grant)) ||
+      (mem2 != kInvalidCapRef && !FillGrant(mem2, &msg.grant2))) {
+    counters_.Add(send_bad_mem_cap_id_);
     return SendResult{MsgStatus::kNoCapability};
   }
   // Stamp the trusted identity fields.
@@ -176,14 +173,14 @@ SendResult Monitor::SendInternal(Message msg, TileId dst_tile, CapRef mem, CapRe
       1 + static_cast<uint32_t>((msg.WireBytes() + kFlitBytes - 1) / kFlitBytes);
   if (flits > ni_->max_packet_flits()) {
     // Larger than the NI could ever inject: fail fast rather than wedge.
-    counters_.Add("monitor.send_too_large");
+    counters_.Add(send_too_large_id_);
     return SendResult{MsgStatus::kBadRequest};
   }
   // Check both budgets before consuming either, so a denial never leaves a
   // partial charge against the per-tile or tenant-shared bucket.
   const bool shared_ok = shared_limiter_ == nullptr || shared_limiter_->WouldAllow(now_, flits);
   if (!limiter_.WouldAllow(now_, flits) || !shared_ok) {
-    counters_.Add("monitor.send_rate_limited");
+    counters_.Add(send_rate_limited_id_);
     Trace(TraceEvent::kDenySend, dst_tile, msg.dst_service, msg.opcode,
           MsgStatus::kRateLimited);
     return SendResult{MsgStatus::kRateLimited};
@@ -193,13 +190,13 @@ SendResult Monitor::SendInternal(Message msg, TileId dst_tile, CapRef mem, CapRe
     shared_limiter_->TryConsume(now_, flits);
   }
   if (!EnqueuePacket(msg, dst_tile)) {
-    counters_.Add("monitor.send_backpressure");
+    counters_.Add(send_backpressure_id_);
     return SendResult{MsgStatus::kBackpressure};
   }
   if (msg.kind == MsgKind::kRequest) {
     ++pending_responses_[dst_tile];
   }
-  counters_.Add("monitor.sends");
+  counters_.Add(sends_id_);
   Trace(TraceEvent::kSend, dst_tile, msg.dst_service, msg.opcode, MsgStatus::kOk);
   return SendResult{MsgStatus::kOk};
 }
@@ -224,7 +221,7 @@ void Monitor::FlushOutbox() {
     packet->arb_class = arb_class_;
     SerializeMessageInto(std::move(out.msg), *packet);
     (void)ni_->Inject(std::move(packet), now_);  // Cannot fail: space checked above.
-    counters_.Add("monitor.flits_sent", flits);
+    counters_.Add(flits_sent_id_, flits);
     outbox_.pop_front();
   }
 }
@@ -242,7 +239,7 @@ void Monitor::BounceWithError(const Message& request, MsgStatus status) {
   err.src_tile = tile_;
   err.src_service = service_;
   err.src_app = app_;
-  counters_.Add("monitor.error_bounces");
+  counters_.Add(error_bounces_id_);
   // Bypasses the rate limiter (the error path is monitor-owned) but still
   // respects the outbox bound so a flood cannot amplify unboundedly.
   EnqueuePacket(err, request.src_tile);
@@ -250,14 +247,14 @@ void Monitor::BounceWithError(const Message& request, MsgStatus status) {
 
 void Monitor::DeliverIncoming(Message msg) {
   if (inbox_.size() >= config_.inbox_messages) {
-    counters_.Add("monitor.inbox_overflow");
+    counters_.Add(inbox_overflow_id_);
     BounceWithError(msg, MsgStatus::kBackpressure);
     return;
   }
   if (msg.kind == MsgKind::kRequest) {
     ++reply_rights_[msg.src_tile];
   }
-  counters_.Add("monitor.delivered");
+  counters_.Add(delivered_id_);
   Trace(TraceEvent::kDeliver, msg.src_tile, msg.src_service, msg.opcode, msg.status);
   inbox_.push_back(std::move(msg));
 }
@@ -271,17 +268,17 @@ void Monitor::BeginCycle(Cycle now) {
     }
     auto msg = DeserializeMessage(*packet);
     if (!msg.has_value()) {
-      counters_.Add("monitor.malformed");
+      counters_.Add(malformed_id_);
       continue;
     }
     // Defense in depth: the wire src must match the NoC-level source the
     // trusted routers carried.
     if (msg->src_tile != packet->src) {
-      counters_.Add("monitor.spoofed_src");
+      counters_.Add(spoofed_src_id_);
       continue;
     }
     if (fault_state_ != TileFaultState::kHealthy) {
-      counters_.Add("monitor.recv_while_stopped");
+      counters_.Add(recv_while_stopped_id_);
       Trace(TraceEvent::kDenyReceive, msg->src_tile, msg->src_service, msg->opcode,
             MsgStatus::kDestFailed);
       BounceWithError(*msg, MsgStatus::kDestFailed);
@@ -290,7 +287,7 @@ void Monitor::BeginCycle(Cycle now) {
     if (msg->kind == MsgKind::kResponse) {
       auto it = pending_responses_.find(msg->src_tile);
       if (it == pending_responses_.end() || it->second == 0) {
-        counters_.Add("monitor.recv_unsolicited_response");
+        counters_.Add(recv_unsolicited_response_id_);
         Trace(TraceEvent::kDenyReceive, msg->src_tile, msg->src_service, msg->opcode,
               MsgStatus::kDenied);
         continue;
@@ -301,7 +298,7 @@ void Monitor::BeginCycle(Cycle now) {
     }
     // Requests require the sender to be on the kernel-installed accept list.
     if (allowed_senders_.find(msg->src_tile) == allowed_senders_.end()) {
-      counters_.Add("monitor.recv_denied");
+      counters_.Add(recv_denied_id_);
       Trace(TraceEvent::kDenyReceive, msg->src_tile, msg->src_service, msg->opcode,
             MsgStatus::kDenied);
       BounceWithError(*msg, MsgStatus::kDenied);

@@ -15,7 +15,6 @@
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -185,6 +184,30 @@ class Monitor : public TileApi {
 
   uint64_t next_auto_request_id_ = 1;
   CounterSet counters_;
+  // Counter slots, interned once so every bump is an array add.
+  const CounterId accel_faults_id_ = counters_.Intern("monitor.accel_faults");
+  const CounterId delivered_id_ = counters_.Intern("monitor.delivered");
+  const CounterId drained_inbox_id_ = counters_.Intern("monitor.drained_inbox");
+  const CounterId drained_outbox_id_ = counters_.Intern("monitor.drained_outbox");
+  const CounterId error_bounces_id_ = counters_.Intern("monitor.error_bounces");
+  const CounterId fail_stops_id_ = counters_.Intern("monitor.fail_stops");
+  const CounterId flits_sent_id_ = counters_.Intern("monitor.flits_sent");
+  const CounterId inbox_overflow_id_ = counters_.Intern("monitor.inbox_overflow");
+  const CounterId malformed_id_ = counters_.Intern("monitor.malformed");
+  const CounterId recv_denied_id_ = counters_.Intern("monitor.recv_denied");
+  const CounterId recv_unsolicited_response_id_ =
+      counters_.Intern("monitor.recv_unsolicited_response");
+  const CounterId recv_while_stopped_id_ = counters_.Intern("monitor.recv_while_stopped");
+  const CounterId reply_no_right_id_ = counters_.Intern("monitor.reply_no_right");
+  const CounterId restarts_id_ = counters_.Intern("monitor.restarts");
+  const CounterId send_backpressure_id_ = counters_.Intern("monitor.send_backpressure");
+  const CounterId send_bad_mem_cap_id_ = counters_.Intern("monitor.send_bad_mem_cap");
+  const CounterId send_no_cap_id_ = counters_.Intern("monitor.send_no_cap");
+  const CounterId send_rate_limited_id_ = counters_.Intern("monitor.send_rate_limited");
+  const CounterId send_tile_stopped_id_ = counters_.Intern("monitor.send_tile_stopped");
+  const CounterId send_too_large_id_ = counters_.Intern("monitor.send_too_large");
+  const CounterId sends_id_ = counters_.Intern("monitor.sends");
+  const CounterId spoofed_src_id_ = counters_.Intern("monitor.spoofed_src");
   TraceRing trace_;
 };
 

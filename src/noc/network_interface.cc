@@ -46,7 +46,7 @@ bool NetworkInterface::Inject(PacketRef packet, Cycle now) {
   const uint32_t flits = ComputeFlitCount(*packet);
   packet->flit_count = flits;
   if (!CanInject(flits, packet->vc)) {
-    counters_.Add("ni.inject_backpressure");
+    counters_.Add(inject_backpressure_id_);
     return false;
   }
   packet->inject_cycle = now;
@@ -59,8 +59,8 @@ bool NetworkInterface::Inject(PacketRef packet, Cycle now) {
     queue.push_back(Flit{packet, i});
   }
   queue.push_back(Flit{std::move(packet), flits - 1});
-  counters_.Add("ni.packets_injected");
-  counters_.Add("ni.flits_injected", flits);
+  counters_.Add(packets_injected_id_);
+  counters_.Add(flits_injected_id_, flits);
   // Idle-to-busy transition: publish this NI into the mesh's live set.
   if (!live_marked_ && live_out_ != nullptr) {
     live_out_->push_back(tile_);
@@ -90,7 +90,7 @@ void NetworkInterface::InjectCycle(Cycle now) {
 }
 
 void NetworkInterface::EjectFlit(const Flit& flit, Cycle now) {
-  counters_.Add("ni.flits_ejected");
+  counters_.Add(flits_ejected_id_);
   if (!flit.is_tail()) {
     return;
   }
@@ -99,7 +99,7 @@ void NetworkInterface::EjectFlit(const Flit& flit, Cycle now) {
   assert(flit.packet->flit_count == ComputeFlitCount(*flit.packet));
   if (flit.packet->dropped) {
     // A link fault swallowed part of this packet in flight.
-    counters_.Add("ni.packets_dropped_fault");
+    counters_.Add(packets_dropped_fault_id_);
     return;
   }
   if (flit.packet->checksum != 0 &&
@@ -107,11 +107,11 @@ void NetworkInterface::EjectFlit(const Flit& flit, Cycle now) {
     // Corruption is detected here, never silently consumed: the packet is
     // discarded and the loss surfaces as a counter (and, one layer up, as a
     // request timeout rather than a garbled message).
-    counters_.Add("ni.checksum_drops");
+    counters_.Add(checksum_drops_id_);
     return;
   }
   latency_.Record(now - flit.packet->inject_cycle);
-  counters_.Add("ni.packets_delivered");
+  counters_.Add(packets_delivered_id_);
   delivered_.push_back(flit.packet);
   // New deliverable input for the tile above: end its parked quiescence.
   sink_wake_.Wake();

@@ -8,9 +8,6 @@
 
 #include <array>
 #include <deque>
-#include <functional>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/noc/packet.h"
@@ -131,6 +128,14 @@ class NetworkInterface {
   WakeHint sink_wake_;
   std::deque<PacketRef> delivered_;
   CounterSet counters_;
+  // Counter slots, interned once so every bump is an array add.
+  const CounterId checksum_drops_id_ = counters_.Intern("ni.checksum_drops");
+  const CounterId flits_ejected_id_ = counters_.Intern("ni.flits_ejected");
+  const CounterId flits_injected_id_ = counters_.Intern("ni.flits_injected");
+  const CounterId inject_backpressure_id_ = counters_.Intern("ni.inject_backpressure");
+  const CounterId packets_delivered_id_ = counters_.Intern("ni.packets_delivered");
+  const CounterId packets_dropped_fault_id_ = counters_.Intern("ni.packets_dropped_fault");
+  const CounterId packets_injected_id_ = counters_.Intern("ni.packets_injected");
   Histogram latency_;  // Injection-to-tail-ejection latency, in cycles.
 };
 

@@ -1,5 +1,7 @@
 #include "src/noc/router.h"
 
+#include <bit>
+
 #include "src/noc/boundary_link.h"
 #include "src/noc/network_interface.h"
 
@@ -7,8 +9,8 @@ namespace apiary {
 
 Router::Router(uint32_t x, uint32_t y, uint32_t mesh_width, uint32_t mesh_height,
                uint32_t buffer_depth)
-    : x_(x), y_(y), mesh_width_(mesh_width), mesh_height_(mesh_height),
-      buffer_depth_(buffer_depth) {
+    : x_(x), y_(y), mesh_width_(mesh_width), buffer_depth_(buffer_depth),
+      route_(mesh_width * mesh_height) {
   // flits + staged together never exceed buffer_depth (FreeSlots counts
   // both), but either side alone may briefly hold the full depth.
   for (auto& port_bufs : inputs_) {
@@ -16,6 +18,13 @@ Router::Router(uint32_t x, uint32_t y, uint32_t mesh_width, uint32_t mesh_height
       buf.flits.Init(buffer_depth_);
       buf.staged.Init(buffer_depth_);
     }
+  }
+  // XY dimension-order routing: X first, then Y.
+  for (uint32_t dst = 0; dst < route_.size(); ++dst) {
+    const uint32_t dx = dst % mesh_width_;
+    const uint32_t dy = dst / mesh_width_;
+    route_[dst] = dx != x_ ? (dx > x_ ? kPortEast : kPortWest)
+                  : dy != y_ ? (dy > y_ ? kPortSouth : kPortNorth) : kPortLocal;
   }
 }
 
@@ -63,22 +72,18 @@ void Router::ExpressCatchUp(RouterPort out, RouterPort in, int vc, uint32_t depa
       departed < flits ? static_cast<int>(in) : -1;
 }
 
-RouterPort Router::RoutePort(TileId dst) const {
-  const uint32_t dx = dst % mesh_width_;
-  const uint32_t dy = dst / mesh_width_;
-  if (dx > x_) {
-    return kPortEast;
+void Router::RequestHead(int in, int vc) {
+  const RingBuffer<Flit>& flits = inputs_[in][vc].flits;
+  if (!flits.empty() && static_cast<int>(flits.front().vc()) == vc) {
+    requests_[RoutePort(flits.front().dst())] |= RequestBit(in, vc);
   }
-  if (dx < x_) {
-    return kPortWest;
-  }
-  if (dy > y_) {
-    return kPortSouth;
-  }
-  if (dy < y_) {
-    return kPortNorth;
-  }
-  return kPortLocal;
+}
+
+uint32_t Router::RequestingInputs(int out, int vc) const {
+  constexpr uint32_t kMask = (1u << kNumPorts) - 1;
+  const uint32_t inputs = (requests_[out] >> (vc * kNumPorts)) & kMask;
+  const int rr = rr_input_[out];
+  return ((inputs >> rr) | (inputs << (kNumPorts - rr))) & kMask;
 }
 
 uint32_t Router::FreeSlots(RouterPort in_port, Vc vc) const {
@@ -148,16 +153,14 @@ void Router::SendDownstream(RouterPort out, const Flit& flit, Cycle now) {
 }
 
 bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
+  const uint32_t bit = RequestBit(in, vc);
+  if ((requests_[out] & bit) == 0) {
+    return false;  // Empty buffer, or its head flit routes elsewhere.
+  }
   InputBuffer& buf = inputs_[in][vc];
-  if (buf.flits.empty()) {
-    return false;
-  }
   const Flit& flit = buf.flits.front();
-  if (RoutePort(flit.dst()) != out || static_cast<int>(flit.vc()) != vc) {
-    return false;
-  }
   if (!DownstreamHasSpace(out, flit.vc())) {
-    counters_.Add("router.stalls");
+    counters_.Add(stalls_id_);
     return false;
   }
   OutputVcState& state = outputs_[out][vc];
@@ -170,7 +173,7 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
     state.owner_port = in;
   } else if (state.owner_port != in) {
     // Output vc is held by another packet (wormhole).
-    counters_.Add("router.vc_blocked");
+    counters_.Add(vc_blocked_id_);
     return false;
   }
   // Link fault injection: consulted once per packet per link (on the head
@@ -179,13 +182,16 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
   if (fault_model_ != nullptr && out != kPortLocal && flit.is_head() &&
       fault_model_->OnLinkTraverse(tile(), flit, now)) {
     flit.packet->dropped = true;
-    counters_.Add("router.fault_dropped_packets");
+    counters_.Add(fault_dropped_id_);
   }
   SendDownstream(out, flit, now);
   if (flit.is_tail()) {
     state.owner_port = -1;
   }
   buf.flits.pop_front();
+  // The next head requests its own output; a later one may still take it.
+  requests_[out] &= ~bit;
+  RequestHead(in, vc);
   --occupancy_;
   ++flits_routed_;
   // Boundary-fed input buffer: report the freed slot to the upstream shard
@@ -205,16 +211,12 @@ bool Router::AcquireWeighted(RouterPort out, int vc, Cycle now) {
   };
   std::array<Candidate, kNumArbClasses> cand;
   int num_classes = 0;
+  int winner = -1;  // Last class found: the winner if it is the only one.
   bool stalled = false;
-  for (int pi = 0; pi < kNumPorts; ++pi) {
-    const int in = (rr_input_[out] + pi) % kNumPorts;
-    const InputBuffer& buf = inputs_[in][vc];
-    if (buf.flits.empty()) {
-      continue;
-    }
-    const Flit& flit = buf.flits.front();
-    if (RoutePort(flit.dst()) != out || static_cast<int>(flit.vc()) != vc ||
-        !flit.is_head()) {
+  for (uint32_t rot = RequestingInputs(out, vc); rot != 0; rot &= rot - 1) {
+    const int in = (rr_input_[out] + std::countr_zero(rot)) % kNumPorts;
+    const Flit& flit = inputs_[in][vc].flits.front();
+    if (!flit.is_head()) {
       continue;
     }
     if (!DownstreamHasSpace(out, flit.vc())) {
@@ -226,10 +228,11 @@ bool Router::AcquireWeighted(RouterPort out, int vc, Cycle now) {
       cand[cls].in = in;
       cand[cls].flits = flit.packet->flit_count;
       ++num_classes;
+      winner = cls;
     }
   }
   if (stalled) {
-    counters_.Add("router.stalls");
+    counters_.Add(stalls_id_);
     return false;
   }
   if (num_classes == 0) {
@@ -239,52 +242,54 @@ bool Router::AcquireWeighted(RouterPort out, int vc, Cycle now) {
     // No contention: pass free of charge, and restart the contest — weights
     // divide contended bandwidth only.
     class_deficit_[out].fill(0);
+  } else {
+    // Contested: every competing class banks its weight, idle classes reset,
+    // and the largest deficit wins (ties to the lowest class id — fixed and
+    // deterministic). The winner pays its packet's flit count, so over time
+    // each class's grant share converges to weight / sum(weights).
+    winner = -1;
     for (int cls = 0; cls < kNumArbClasses; ++cls) {
-      if (cand[cls].in != -1) {
-        if (TryForward(out, cand[cls].in, vc, now)) {
-          rr_input_[out] = (cand[cls].in + 1) % kNumPorts;
-          return true;
-        }
-        return false;
+      if (cand[cls].in == -1) {
+        class_deficit_[out][cls] = 0;
+        continue;
+      }
+      const int64_t weight = class_weights_[cls] == 0 ? 1 : class_weights_[cls];
+      class_deficit_[out][cls] += weight;
+      if (winner == -1 || class_deficit_[out][cls] > class_deficit_[out][winner]) {
+        winner = cls;
       }
     }
+  }
+  if (!TryForward(out, cand[winner].in, vc, now)) {
     return false;
   }
-  // Contested: every competing class banks its weight, idle classes reset,
-  // and the largest deficit wins (ties to the lowest class id — fixed and
-  // deterministic). The winner pays its packet's flit count, so over time
-  // each class's grant share converges to weight / sum(weights).
-  int winner = -1;
-  for (int cls = 0; cls < kNumArbClasses; ++cls) {
-    if (cand[cls].in == -1) {
-      class_deficit_[out][cls] = 0;
-      continue;
-    }
-    const int64_t weight = class_weights_[cls] == 0 ? 1 : class_weights_[cls];
-    class_deficit_[out][cls] += weight;
-    if (winner == -1 || class_deficit_[out][cls] > class_deficit_[out][winner]) {
-      winner = cls;
-    }
-  }
-  if (TryForward(out, cand[winner].in, vc, now)) {
+  rr_input_[out] = (cand[winner].in + 1) % kNumPorts;
+  if (num_classes > 1) {
     class_deficit_[out][winner] -= static_cast<int64_t>(cand[winner].flits);
-    rr_input_[out] = (cand[winner].in + 1) % kNumPorts;
-    counters_.Add("router.weighted_grants");
-    return true;
+    counters_.Add(weighted_grants_id_);
   }
-  return false;
+  return true;
 }
 
 void Router::RouteCycle(Cycle now) {
   if (fault_model_ != nullptr && fault_model_->RouterStalled(tile(), now)) {
-    counters_.Add("router.fault_stalled_cycles");
+    counters_.Add(fault_stalled_id_);
     return;  // Wedged crossbar: buffers fill, upstream backpressure builds.
+  }
+  requests_.fill(0);
+  for (int i = 0; i < kNumPorts * kNumVcs; ++i) {
+    RequestHead(i % kNumPorts, i / kNumPorts);
   }
   // One flit per output port per cycle (the physical link constraint).
   // VC-level round robin, then input-port round robin within a vc. When
   // weights are configured, acquisition of a free output vc goes through the
-  // deficit arbiter instead of plain input round robin.
+  // deficit arbiter instead of plain input round robin. Only requesting
+  // inputs are visited: a non-requesting TryForward fails before any side
+  // effect, so skipping it is exact.
   for (int out = 0; out < kNumPorts; ++out) {
+    if (requests_[out] == 0) {
+      continue;
+    }
     bool sent = false;
     for (int vci = 0; vci < kNumVcs && !sent; ++vci) {
       const int vc = (rr_vc_[out] + vci) % kNumVcs;
@@ -298,8 +303,8 @@ void Router::RouteCycle(Cycle now) {
         sent = AcquireWeighted(static_cast<RouterPort>(out), vc, now);
         continue;
       }
-      for (int pi = 0; pi < kNumPorts && !sent; ++pi) {
-        const int in = (rr_input_[out] + pi) % kNumPorts;
+      for (uint32_t rot = RequestingInputs(out, vc); rot != 0 && !sent; rot &= rot - 1) {
+        const int in = (rr_input_[out] + std::countr_zero(rot)) % kNumPorts;
         sent = TryForward(static_cast<RouterPort>(out), in, vc, now);
         if (sent) {
           rr_input_[out] = (in + 1) % kNumPorts;

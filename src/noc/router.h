@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "src/noc/fault_hooks.h"
@@ -125,14 +124,22 @@ class Router {
     int owner_port = -1;
   };
 
-  // XY dimension-order route computation for a destination tile.
-  RouterPort RoutePort(TileId dst) const;
+  // XY dimension-order output port for a destination tile (table lookup).
+  RouterPort RoutePort(TileId dst) const { return static_cast<RouterPort>(route_[dst]); }
+
+  // Request bit of input buffer (in, vc) within an output's request mask.
+  static uint32_t RequestBit(int in, int vc) { return 1u << (vc * kNumPorts + in); }
+  // Sets buffer (in, vc)'s bit on the output its head flit routes to, if any.
+  void RequestHead(int in, int vc);
+  // The inputs requesting (out, vc), rotated so bit i is input
+  // (rr_input_[out] + i) % kNumPorts: low-to-high is round-robin order.
+  uint32_t RequestingInputs(int out, int vc) const;
 
   // Attempts to forward the head-of-line flit from inputs_[in][vc] through
   // `out`. Returns true on success.
   bool TryForward(RouterPort out, int in, int vc, Cycle now);
 
-  // Weighted acquisition of a free output vc: scans this vc's candidate
+  // Weighted acquisition of a free output vc: scans this vc's requesting
   // head flits, and when two or more arbitration classes compete, lets the
   // class with the largest deficit win (deficits accrue by weight per
   // contested attempt and the winner pays its packet's flit count, so
@@ -146,7 +153,6 @@ class Router {
   uint32_t x_;
   uint32_t y_;
   uint32_t mesh_width_;
-  uint32_t mesh_height_;
   uint32_t buffer_depth_;
 
   std::array<Router*, 4> neighbors_{};
@@ -162,6 +168,11 @@ class Router {
   std::array<int, kNumPorts> rr_input_{};
   // Per output port, the next vc to consider (VC-level interleaving).
   std::array<int, kNumPorts> rr_vc_{};
+  // Destination tile -> XY output port; packets only address on-mesh tiles.
+  std::vector<uint8_t> route_;
+  // Per output port, the input buffers whose head flit routes to it (see
+  // RequestBit); rebuilt each RouteCycle and kept exact across pops.
+  std::array<uint32_t, kNumPorts> requests_{};
 
   // Weighted-arbitration state. `weighted_` gates the whole mechanism so
   // boards that never configure weights keep the original arbitration
@@ -180,6 +191,12 @@ class Router {
   std::vector<uint32_t>* live_out_ = nullptr;
   bool live_marked_ = false;
   CounterSet counters_;
+  // Counter slots, interned once so every bump is an array add.
+  const CounterId stalls_id_ = counters_.Intern("router.stalls");
+  const CounterId vc_blocked_id_ = counters_.Intern("router.vc_blocked");
+  const CounterId weighted_grants_id_ = counters_.Intern("router.weighted_grants");
+  const CounterId fault_dropped_id_ = counters_.Intern("router.fault_dropped_packets");
+  const CounterId fault_stalled_id_ = counters_.Intern("router.fault_stalled_cycles");
 };
 
 }  // namespace apiary

@@ -5,26 +5,37 @@
 
 namespace apiary {
 
-uint64_t CounterSet::Get(const std::string& name) const {
-  auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
+CounterId CounterSet::Intern(std::string_view name) {
+  auto it = index_.find(name);
+  if (it == index_.end()) {
+    it = index_.emplace(std::string(name), static_cast<CounterId>(slots_.size())).first;
+    slots_.emplace_back();
+  }
+  return it->second;
+}
+
+uint64_t CounterSet::Get(std::string_view name) const {
+  auto it = index_.find(name);
+  return it == index_.end() ? 0 : slots_[static_cast<uint32_t>(it->second)].value;
 }
 
 void CounterSet::Merge(const CounterSet& other) {
-  for (const auto& [name, value] : other.counters_) {
-    counters_[name] += value;
+  for (const auto& [name, id] : other.index_) {
+    const Slot& slot = other.slots_[static_cast<uint32_t>(id)];
+    if (slot.present) {
+      Add(name, slot.value);
+    }
   }
 }
 
 std::string CounterSet::ToString() const {
   std::ostringstream out;
   bool first = true;
-  for (const auto& [name, value] : counters_) {
-    if (!first) {
-      out << ' ';
+  for (const auto& [name, id] : index_) {
+    if (const Slot& slot = slots_[static_cast<uint32_t>(id)]; slot.present) {
+      out << (first ? "" : " ") << name << '=' << slot.value;
+      first = false;
     }
-    out << name << '=' << value;
-    first = false;
   }
   return out.str();
 }

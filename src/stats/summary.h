@@ -1,32 +1,54 @@
 // Named-counter registry: each simulated component exposes its event counts
 // through a CounterSet so experiments can dump machine-readable metrics.
+// Names are interned to dense slots: hot paths bump ids resolved at
+// construction (an array add), and string-keyed calls never allocate after
+// a name's first sighting. A name shows in Get/ToString/Merge only once
+// bumped or set (Add(name, 0) counts); interning alone adds nothing.
 #ifndef SRC_STATS_SUMMARY_H_
 #define SRC_STATS_SUMMARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace apiary {
 
+enum class CounterId : uint32_t {};
+
 class CounterSet {
  public:
-  void Add(const std::string& name, uint64_t delta = 1) { counters_[name] += delta; }
-  void Set(const std::string& name, uint64_t value) { counters_[name] = value; }
-  uint64_t Get(const std::string& name) const;
-  void Reset() { counters_.clear(); }
+  // The slot for `name`, created absent on first sight; valid across Reset.
+  CounterId Intern(std::string_view name);
+
+  void Add(CounterId id, uint64_t delta = 1) {
+    Slot& slot = slots_[static_cast<uint32_t>(id)];
+    slot.value += delta;
+    slot.present = true;
+  }
+  void Add(std::string_view name, uint64_t delta = 1) { Add(Intern(name), delta); }
+  void Set(std::string_view name, uint64_t value) {
+    slots_[static_cast<uint32_t>(Intern(name))] = Slot{value, true};
+  }
+  uint64_t Get(std::string_view name) const;
+  // Zeroes every slot and makes every name absent; ids stay valid.
+  void Reset() { slots_.assign(slots_.size(), Slot{}); }
 
   // Merge `other` into this set (summing matching names).
   void Merge(const CounterSet& other);
 
-  const std::map<std::string, uint64_t>& counters() const { return counters_; }
-
-  // "name=value name=value ..." in sorted order.
+  // "name=value name=value ..." in sorted order, present names only.
   std::string ToString() const;
 
  private:
-  std::map<std::string, uint64_t> counters_;
+  struct Slot {
+    uint64_t value = 0;
+    bool present = false;
+  };
+  std::map<std::string, CounterId, std::less<>> index_;
+  std::vector<Slot> slots_;
 };
 
 // Basic running statistics over doubles (for rates, utilizations).

@@ -411,5 +411,92 @@ TEST(MeshTest, WeightedArbitrationIsWorkConserving) {
   EXPECT_GE(weighted * 10, unweighted * 9);
 }
 
+// Fixed fault windows for the golden run: router 27 forwards nothing during
+// [1500, 1700), and every packet leaving router 36 over a link during
+// [2000, 2400) is dropped.
+class WindowFaultModel : public NocFaultModel {
+ public:
+  bool OnLinkTraverse(TileId router_tile, const Flit& flit, Cycle now) override {
+    (void)flit;
+    return router_tile == 36 && now >= 2000 && now < 2400;
+  }
+  bool RouterStalled(TileId router_tile, Cycle now) override {
+    return router_tile == 27 && now >= 1500 && now < 1700;
+  }
+};
+
+uint64_t Fnv1a(uint64_t hash, const std::string& text) {
+  for (const char c : text) {
+    hash = (hash ^ static_cast<uint8_t>(c)) * 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// Golden digest of the router's observable behaviour. The differential
+// tests compare two engines that share the same Router code, so they cannot
+// see a router-level change; this pins it to a recorded constant instead.
+// A contended 8x8 mesh with shallow buffers carries random multi-flit
+// packets on both VCs in three weighted arbitration classes, through a
+// router stall window and a link-drop window. The digest covers every
+// tile's delivery order with eject cycles, the aggregate counters and the
+// packet-latency histogram. Any arbitration, stall-accounting or
+// fault-handling change moves it.
+TEST(MeshTest, RouterGoldenDigest) {
+  Simulator sim;
+  Mesh mesh(MeshConfig{8, 8, 4, 64});
+  sim.Register(&mesh);
+  WindowFaultModel faults;
+  mesh.SetFaultModel(&faults);
+  mesh.SetArbClassWeight(1, 4);
+  mesh.SetArbClassWeight(2, 2);
+  Rng rng(12);
+  const uint32_t n = mesh.num_tiles();
+  uint64_t next_id = 1;
+  std::string deliveries;
+  auto drain = [&] {
+    for (uint32_t t = 0; t < n; ++t) {
+      while (auto p = mesh.ni(t).Retrieve()) {
+        deliveries += std::to_string(t) + ':' + std::to_string(p->packet_id) + '@' +
+                      std::to_string(sim.now()) + ' ';
+      }
+    }
+  };
+  for (Cycle c = 0; c < 9000; ++c) {
+    if (c < 3000) {
+      for (int k = 0; k < 12; ++k) {
+        const TileId src = static_cast<TileId>(rng.NextBelow(n));
+        // A third of the traffic converges on one hotspot column.
+        const TileId dst = rng.NextBool(0.33) ? static_cast<TileId>(rng.NextBelow(8) * 8 + 5)
+                                              : static_cast<TileId>(rng.NextBelow(n));
+        auto p = MakePacket(src, dst, rng.NextBelow(160), next_id++,
+                            rng.NextBool(0.5) ? Vc::kRequest : Vc::kResponse);
+        p->arb_class = static_cast<uint8_t>(rng.NextBelow(3));
+        mesh.ni(src).Inject(p, sim.now());
+      }
+    }
+    sim.Run(1);
+    drain();
+  }
+  const Histogram latency = mesh.AggregateLatency();
+  const std::string counters = mesh.AggregateCounters().ToString();
+  uint64_t hash = 0xcbf29ce484222325ull;
+  hash = Fnv1a(hash, deliveries);
+  hash = Fnv1a(hash, counters);
+  hash = Fnv1a(hash, latency.Summary());
+  for (const double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999}) {
+    hash = Fnv1a(hash, std::to_string(latency.Percentile(q)));
+  }
+  // The run must exercise what the digest is meant to pin.
+  const CounterSet agg = mesh.AggregateCounters();
+  EXPECT_GT(agg.Get("router.stalls"), 0u);
+  EXPECT_GT(agg.Get("router.weighted_grants"), 0u);
+  EXPECT_GT(agg.Get("router.fault_stalled_cycles"), 0u);
+  EXPECT_GT(agg.Get("router.fault_dropped_packets"), 0u);
+  EXPECT_GT(agg.Get("ni.inject_backpressure"), 0u);
+  EXPECT_EQ(agg.Get("ni.packets_delivered") + agg.Get("ni.packets_dropped_fault"),
+            agg.Get("ni.packets_injected"));  // Drained.
+  EXPECT_EQ(hash, 0xb83cc7b836358d77ull) << counters << "\n" << latency.Summary();
+}
+
 }  // namespace
 }  // namespace apiary

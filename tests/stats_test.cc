@@ -165,6 +165,73 @@ TEST(CounterSetTest, ToStringSortedByName) {
   EXPECT_EQ(c.ToString(), "alpha=1 beta=2");
 }
 
+TEST(CounterSetTest, IdAndNameAddHitTheSameSlot) {
+  CounterSet c;
+  const CounterId id = c.Intern("x");
+  c.Add(id);
+  c.Add("x", 2);
+  c.Add(id, 4);
+  EXPECT_EQ(c.Get("x"), 7u);
+  EXPECT_EQ(c.Intern("x"), id);
+  EXPECT_EQ(c.ToString(), "x=7");
+}
+
+TEST(CounterSetTest, InternedButNeverBumpedIsAbsent) {
+  CounterSet c;
+  c.Intern("quiet");
+  c.Add("loud");
+  EXPECT_EQ(c.Get("quiet"), 0u);
+  EXPECT_EQ(c.ToString(), "loud=1");
+  CounterSet total;
+  total.Merge(c);
+  EXPECT_EQ(total.ToString(), "loud=1");
+}
+
+TEST(CounterSetTest, AddZeroMakesNamePresent) {
+  CounterSet c;
+  const CounterId id = c.Intern("a");
+  c.Add("b", 0);
+  c.Add(id, 0);
+  EXPECT_EQ(c.ToString(), "a=0 b=0");
+  CounterSet total;
+  total.Merge(c);
+  EXPECT_EQ(total.ToString(), "a=0 b=0");
+}
+
+TEST(CounterSetTest, MergeAcrossDifferentInternOrders) {
+  CounterSet a;
+  const CounterId ax = a.Intern("x");
+  a.Intern("y");
+  CounterSet b;
+  const CounterId by = b.Intern("y");
+  const CounterId bx = b.Intern("x");
+  a.Add(ax, 1);
+  b.Add(by, 10);
+  b.Add(bx, 100);
+  b.Add("z", 1000);
+  a.Merge(b);
+  EXPECT_EQ(a.ToString(), "x=101 y=10 z=1000");
+  a.Add(ax);  // Merging added slots; earlier ids still name their counters.
+  EXPECT_EQ(a.Get("x"), 102u);
+}
+
+TEST(CounterSetTest, ResetKeepsIdsValid) {
+  CounterSet c;
+  const CounterId x = c.Intern("x");
+  const CounterId y = c.Intern("y");
+  c.Add(x, 5);
+  c.Add(y, 6);
+  c.Reset();
+  EXPECT_EQ(c.ToString(), "");
+  EXPECT_EQ(c.Get("x"), 0u);
+  c.Add(y, 2);
+  EXPECT_EQ(c.ToString(), "y=2");
+  EXPECT_EQ(c.Intern("y"), y);
+  c.Add("x");
+  EXPECT_EQ(c.Get("x"), 1u);
+  EXPECT_EQ(c.Intern("x"), x);
+}
+
 TEST(RunningStatTest, BasicMoments) {
   RunningStat s;
   s.Record(1);

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 namespace apiary {
 namespace lint {
@@ -433,6 +434,9 @@ LintConfig DefaultConfig() {
   // The corridor planner/reservation layer: launch and materialize run on
   // the executed-cycle path, so allocation is confined to Configure().
   config.express_hot_path_prefixes = {"src/noc/express"};
+  // Router, NI and monitor bump counters per flit or per message.
+  config.interned_counter_files = {"src/noc/router.cc", "src/noc/network_interface.cc",
+                                   "src/core/monitor.cc"};
 
   // src/sim/clocked.h rides along for quiescence hygiene: an ignored
   // NextActivity() result means a computed wake-up cycle was dropped on the
@@ -779,9 +783,29 @@ void CheckHotPath(const SourceFile& file, const LintConfig& config,
       }
     }
   }
+  const bool interned_file =
+      std::find(config.interned_counter_files.begin(), config.interned_counter_files.end(),
+                file.path) != config.interned_counter_files.end();
   for (size_t i = 0; i < file.code_lines.size(); ++i) {
     const std::string& line = file.code_lines[i];
     const int lineno = static_cast<int>(i) + 1;
+    for (const char* bump : {"counters_.Add(", "counters_.Set("}) {
+      size_t pos = line.find(bump);
+      if (!interned_file || pos == std::string::npos) {
+        continue;
+      }
+      // Literals are blanked in code lines; the raw line keeps the quote.
+      pos += std::string_view(bump).size();
+      const std::string& raw = file.raw_lines[i];
+      while (pos < raw.size() && raw[pos] == ' ') {
+        ++pos;
+      }
+      if (pos < raw.size() && raw[pos] == '"') {
+        findings->push_back({file.path, lineno, "apiary-hot-path",
+                             "string-literal counter bump in an interned-counter file; "
+                             "intern the name at construction and bump its CounterId"});
+      }
+    }
     if (line.find("make_shared<NocPacket") != std::string::npos ||
         line.find("make_shared< NocPacket") != std::string::npos) {
       findings->push_back({file.path, lineno, "apiary-hot-path",

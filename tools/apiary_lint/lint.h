@@ -149,6 +149,10 @@ struct LintConfig {
   // and no container assign/resize/reserve. Reservation state is sized once
   // and recycled in place.
   std::vector<std::string> express_hot_path_prefixes;
+  // Files whose counters are interned at construction: every bump names a
+  // CounterId, so a string-literal counters_.Add("...")/Set("...") — a name
+  // lookup per event on the per-flit path — is a finding, cold sites too.
+  std::vector<std::string> interned_counter_files;
 
   // --- apiary-opcode-coverage ---
   // Path suffixes of the headers that define the opcode ABI.

@@ -441,6 +441,28 @@ TEST(HotPath, ExpressDisciplineLimitedToExpressFiles) {
                   .empty());
 }
 
+TEST(HotPath, InternedCounterFilesBanLiteralBumps) {
+  const auto findings = LintOne("src/noc/network_interface.cc",
+                                "void f() {\n"
+                                "  counters_.Add(\"ni.flits_ejected\");\n"
+                                "  counters_.Set(\"ni.depth\", 3);\n"
+                                "  counters_.Add(flits_ejected_id_);\n"
+                                "}\n");
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_EQ(findings[1].line, 3);
+  for (const auto& finding : findings) {
+    EXPECT_EQ(finding.check, "apiary-hot-path");
+    EXPECT_NE(finding.message.find("CounterId"), std::string::npos);
+  }
+}
+
+TEST(HotPath, LiteralBumpsOutsideInternedFilesAreAllowed) {
+  EXPECT_TRUE(LintOne("src/services/load_balancer.cc",
+                      "void f() { counters_.Add(\"lb.forwards\"); }\n")
+                  .empty());
+}
+
 // ---------------------------------------------------------------------------
 // apiary-global-state.
 // ---------------------------------------------------------------------------
