@@ -8,13 +8,14 @@
 //   * Duty-cycle sweep: N synthetic blocks on a bare Simulator, each busy
 //     for a staggered window covering `f` percent of a fixed period and
 //     parked on the timer wheel in between. Sweeping f from 5% to 100%
-//     plots executed-cycle wall throughput with the active set on vs off
-//     (the `--no-active-set` tick-everything baseline). The acceptance bar
-//     is >= 1.3x at 30-50% activity.
+//     plots executed-cycle wall throughput with the active set on vs the
+//     reference mode (Simulator::SetSkipEnabled(false), which ticks every
+//     block every cycle). The acceptance bar is >= 1.3x at 30-50% activity.
 //   * Saturated-board guardrail: the B2 shape (closed-loop echo pairs on a
 //     4x4 board, every cycle executed, every block busy) where the active
 //     set cannot win and must not lose: the bar is >= 0.97x of the
-//     tick-everything baseline.
+//     reference mode. Neither leg ever skips a cycle, so the comparison is
+//     executed-cycle cost alone.
 //
 // Both legs re-run the identical seeded scenario in both modes and compare
 // every simulation-visible count (per-block tick counts and digests in the
@@ -25,11 +26,8 @@
 // archives, including express corridor counters from the board leg (the
 // saturated shape leaves inject queues multi-packet, so hits are expected
 // near zero — reported for CI visibility, not as a win); `--no-active-set`
-// runs only the tick-everything baseline; `--no-express` disables the
-// corridor fast path on the board leg; `--no-active-sweep` additionally
-// disables the mesh's internal live-list sweep on the board leg (ablation
-// of the mesh-level half of the optimization, independent of the
-// scheduler-level half).
+// runs only the reference mode; `--no-express` disables the corridor fast
+// path on the board leg.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -61,7 +59,7 @@ constexpr Cycle kDutyPeriod = 1'000;    // One duty cycle, per block.
 // The tick body models a router: every tick — busy or idle — sweeps the
 // occupancy of 5 ports x 8 VCs worth of queue heads before deciding whether
 // there is work. That idle-sweep cost is the whole point of the active set:
-// the tick-everything baseline pays it on every registered block every
+// the reference mode pays it on every registered block every
 // executed cycle, the active set only on blocks whose declaration says they
 // have work. (A cheap early-return idle tick would understate the win; real
 // routers, NIs, and memory channels do not get to early-return before
@@ -145,7 +143,7 @@ struct SweepResult {
 
 SweepResult RunSweepPoint(uint32_t active_pct, bool active_set, Cycle run_cycles) {
   Simulator sim;
-  sim.SetActiveSetEnabled(active_set);
+  sim.SetSkipEnabled(active_set);
   const Cycle busy_len = kDutyPeriod * active_pct / 100;
   std::vector<std::unique_ptr<DutyBlock>> blocks;
   blocks.reserve(kSweepBlocks);
@@ -241,11 +239,9 @@ class SaturatingClient : public Accelerator {
   uint64_t received_ = 0;
 };
 
-BoardResult RunBoard(bool active_set, bool active_sweep, bool express,
-                     Cycle run_cycles) {
+BoardResult RunBoard(bool active_set, bool express, Cycle run_cycles) {
   BenchBoard bb;
-  bb.sim.SetActiveSetEnabled(active_set);
-  bb.board.mesh().SetActiveSweepEnabled(active_sweep);
+  bb.sim.SetSkipEnabled(active_set);
   bb.board.mesh().SetExpressEnabled(express);
   ApiaryOs& os = bb.os;
   const AppId app = os.CreateApp("b4");
@@ -287,12 +283,11 @@ BoardResult RunBoard(bool active_set, bool active_sweep, bool express,
 int main(int argc, char** argv) {
   const bool smoke = HasFlag(argc, argv, "--smoke");
   const bool baseline_only = HasFlag(argc, argv, "--no-active-set");
-  const bool no_active_sweep = HasFlag(argc, argv, "--no-active-sweep");
   const bool express = !HasFlag(argc, argv, "--no-express");
   const Cycle sweep_cycles = smoke ? 300'000 : 3'000'000;
   const Cycle board_cycles = smoke ? 200'000 : 2'000'000;
 
-  std::printf("B4: active-set scheduler vs tick-everything, by active fraction\n");
+  std::printf("B4: active-set scheduler vs reference mode (tick-all), by active fraction\n");
   std::printf("(%u duty-cycle blocks, %llu-cycle period, %llu cycles per sweep point)\n\n",
               kSweepBlocks, static_cast<unsigned long long>(kDutyPeriod),
               static_cast<unsigned long long>(sweep_cycles));
@@ -355,13 +350,9 @@ int main(int argc, char** argv) {
 
   // Saturated-board guardrail: the active set cannot win here (everything
   // is busy every cycle) and must not lose.
-  const BoardResult boff = RunBoard(/*active_set=*/false,
-                                    /*active_sweep=*/!no_active_sweep, express,
-                                    board_cycles);
+  const BoardResult boff = RunBoard(/*active_set=*/false, express, board_cycles);
   if (!baseline_only) {
-    const BoardResult bon = RunBoard(/*active_set=*/true,
-                                     /*active_sweep=*/!no_active_sweep, express,
-                                     board_cycles);
+    const BoardResult bon = RunBoard(/*active_set=*/true, express, board_cycles);
     if (bon.sent != boff.sent || bon.received != boff.received ||
         bon.flits != boff.flits) {
       std::fprintf(stderr,
@@ -380,8 +371,7 @@ int main(int argc, char** argv) {
     Table board_table("B4: saturated-board guardrail (target >= 0.97x)");
     board_table.SetHeader({"config", "tick-all Mcyc/s", "active-set Mcyc/s",
                            "ratio", "measured active"});
-    board_table.AddRow({no_active_sweep ? "saturated, no mesh sweep" : "saturated",
-                        Table::Num(boff.mcycles_per_sec, 1),
+    board_table.AddRow({"saturated", Table::Num(boff.mcycles_per_sec, 1),
                         Table::Num(bon.mcycles_per_sec, 1), Table::Num(ratio, 2),
                         Table::Num(100.0 * bon.ActiveFraction(), 1)});
     board_table.Print();
@@ -394,7 +384,6 @@ int main(int argc, char** argv) {
     json.Metric("heap_calls", bon.heap_calls);
     json.Metric("allocs_per_msg", PerMessage(bon.heap_calls, bon.received));
     json.Metric("active_fraction", bon.ActiveFraction());
-    json.Metric("mesh_active_sweep", no_active_sweep ? 0 : 1);
     json.Metric("express_hits", bon.express.delivered);
     json.Metric("express_launches", bon.express.launches);
     json.Metric("materializations", bon.express.materializations);

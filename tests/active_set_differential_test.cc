@@ -1,341 +1,18 @@
-// Differential determinism for the active-set scheduler: the full
-// chaos+tenants+supervisor workload — kernel-mediated IPC spanning every
-// shard cut, tenants with enforced quotas and billing, and a
-// supervisor-healed chaos campaign — must produce BYTE-IDENTICAL traces,
-// counters, fault records, and billing digests with the active set enabled
-// and disabled (the tick-everything baseline), at threads=1, 2, and 4.
-//
-// The active set changes which blocks are ticked on an executed cycle and
-// how the skip target is found (wheel front vs O(N) sweep); neither may be
-// observable. Any divergence here is a missed wake, a stale wheel entry, or
-// a declaration that does not cover an externally-mutated input — a
-// correctness bug in the wake protocol, never an acceptable perf tradeoff.
-// Run under TSan in the sanitize CI job alongside the parallel
-// differential, this also proves the per-shard active sets race-free.
+// Differential determinism for the active-set scheduler: the optimized
+// engine must match the reference engine byte for byte on the sharded 8x8
+// board, and skip exactly the cycles the O(N) NextActivity sweep skipped.
+// Harness and workloads: tests/differential_harness.h.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
-#include <vector>
+#include "tests/differential_harness.h"
 
-#include "src/accel/echo.h"
-#include "src/fault/fault_injector.h"
-#include "src/fault/fault_plan.h"
-#include "src/services/supervisor.h"
-#include "src/sim/logging.h"
-#include "src/sim/parallel/parallel_simulator.h"
-#include "src/tenant/tenant.h"
-#include "tests/test_util.h"
-
-namespace apiary {
+namespace apiary::differential {
 namespace {
 
-// Appends "<level> <line>\n" to the std::string passed as `user`. One
-// instance per simulation domain: the root domain and each shard capture
-// separate byte-exact traces, concatenated in a fixed order afterwards.
-void StringSink(LogLevel level, const std::string& line, void* user) {
-  auto* out = static_cast<std::string*>(user);
-  *out += std::to_string(static_cast<int>(level));
-  *out += ' ';
-  *out += line;
-  *out += '\n';
-}
-
-// Self-driving periodic echo client with a send budget. Declares its next
-// send cycle, so between sends the tile parks on the timer wheel; replies
-// arrive through the NI's delivery wake.
-class PeriodicClient : public Accelerator {
- public:
-  PeriodicClient(ServiceId svc, Cycle period, uint64_t limit)
-      : svc_(svc), period_(period), limit_(limit) {}
-
-  void Tick(TileApi& api) override {
-    if (api.now() < next_ || sent >= limit_) {
-      return;
-    }
-    Message msg;
-    msg.opcode = kOpEcho;
-    msg.payload = {1, 2, 3, 4};
-    if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-      ++sent;
-    }
-    next_ = api.now() + period_;
-  }
-  void OnMessage(const Message& msg, TileApi&) override {
-    (msg.status == MsgStatus::kOk ? ok : errors) += 1;
-  }
-  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
-    if (sent >= limit_) {
-      return kNoActivity;  // Budget spent; only replies wake the tile.
-    }
-    return next_ > now ? next_ : now;
-  }
-  std::string name() const override { return "periodic_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent = 0;
-  uint64_t ok = 0;
-  uint64_t errors = 0;
-
- private:
-  ServiceId svc_;
-  Cycle period_;
-  uint64_t limit_;
-  Cycle next_ = 0;
-};
-
-struct DiffResult {
-  Cycle end_cycle = 0;
-  uint64_t skipped_cycles = 0;
-  uint64_t skips = 0;
-  uint64_t flits = 0;
-  uint64_t handed_off = 0;
-  uint64_t cloned = 0;
-  uint64_t client_sent = 0;
-  uint64_t client_ok = 0;
-  uint64_t client_errors = 0;
-  std::string mesh_counters;
-  std::string monitor_counters;
-  std::string injector_counters;
-  std::string fault_trace;
-  std::string supervisor_counters;
-  std::string tenant_counters;
-  std::string billing_a;
-  std::string billing_b;
-  uint32_t digest_a = 0;
-  uint32_t digest_b = 0;
-  std::string trace;  // Root trace + shard traces, in shard order.
-
-  bool operator==(const DiffResult& o) const {
-    return end_cycle == o.end_cycle && skipped_cycles == o.skipped_cycles && skips == o.skips &&
-           flits == o.flits && handed_off == o.handed_off && cloned == o.cloned &&
-           client_sent == o.client_sent && client_ok == o.client_ok &&
-           client_errors == o.client_errors && mesh_counters == o.mesh_counters &&
-           monitor_counters == o.monitor_counters && injector_counters == o.injector_counters &&
-           fault_trace == o.fault_trace && supervisor_counters == o.supervisor_counters &&
-           tenant_counters == o.tenant_counters && billing_a == o.billing_a &&
-           billing_b == o.billing_b && digest_a == o.digest_a && digest_b == o.digest_b &&
-           trace == o.trace;
-  }
-};
-
-// 8x8 board, 4 column-band shards (x in {0,1} | {2,3} | {4,5} | {6,7}).
-// Tile ids are row-major: tile = y*8 + x. Same shape as the parallel
-// differential, with the active set as the second ablation axis.
-DiffResult RunWorkload(uint32_t threads, bool active_set) {
-  constexpr uint32_t kShards = 4;
-  constexpr Cycle kCycles = 40'000;
-
-  TestBoardOptions options;
-  options.width = 8;
-  options.height = 8;
-  options.reconfig_cycles = 2'000;
-  options.tile_region_cells = 25'000;  // 64 tiles of 100k would not fit VU9P.
-  TestBoard tb(options);
-  tb.sim.SetActiveSetEnabled(active_set);
-
-  std::string root_trace;
-  std::vector<std::string> shard_traces(kShards);
-  const LogLevel prev_level = GetLogLevel();
-  SetLogLevel(LogLevel::kDebug);
-  SetLogSink(StringSink, &root_trace);
-  tb.sim.context().SetLogSink(StringSink, &root_trace);
-
-  // --- Tenants: shard-aligned tile sets, metered and billed. ---
-  TenantManager tenants(&tb.os, /*meter_period=*/10'000);
-  TenantQuota quota;
-  quota.max_tiles = 4;
-  quota.noc_flits_per_1k = 4'000;
-  quota.noc_burst_flits = 256;
-  const TenantId tenant_a = tenants.CreateTenant("alpha", quota);
-  const TenantId tenant_b = tenants.CreateTenant("beta", quota);
-  const AppId app_a = tenants.CreateApp(tenant_a, "alpha_app");
-  const AppId app_b = tenants.CreateApp(tenant_b, "beta_app");
-
-  auto pin = [](TileId tile) {
-    DeployOptions o;
-    o.tile = tile;
-    return o;
-  };
-
-  // Tenant A lives in shard 0 (x in {0,1}); tenant B in shard 3 (x in {6,7}).
-  ServiceId svc_a = 0;
-  EXPECT_NE(tenants.Deploy(tenant_a, app_a, std::make_unique<EchoAccelerator>(5), &svc_a,
-                           pin(/*x=1,y=1*/ 9)),
-            kInvalidTile);
-  auto* client_a = new PeriodicClient(svc_a, /*period=*/120, /*limit=*/1'000'000);
-  const TileId ct_a = tenants.Deploy(tenant_a, app_a, std::unique_ptr<Accelerator>(client_a),
-                                     nullptr, pin(/*x=0,y=1*/ 8));
-  EXPECT_NE(ct_a, kInvalidTile);
-  (void)tenants.GrantSendToService(tenant_a, ct_a, svc_a);
-
-  ServiceId svc_b = 0;
-  EXPECT_NE(tenants.Deploy(tenant_b, app_b, std::make_unique<EchoAccelerator>(5), &svc_b,
-                           pin(/*x=6,y=6*/ 54)),
-            kInvalidTile);
-  auto* client_b = new PeriodicClient(svc_b, /*period=*/150, /*limit=*/1'000'000);
-  const TileId ct_b = tenants.Deploy(tenant_b, app_b, std::unique_ptr<Accelerator>(client_b),
-                                     nullptr, pin(/*x=7,y=6*/ 55));
-  EXPECT_NE(ct_b, kInvalidTile);
-  (void)tenants.GrantSendToService(tenant_b, ct_b, svc_b);
-
-  // --- Cross-shard IPC: every request and reply crosses one or three cuts. ---
-  const AppId app_x = tb.os.CreateApp("crossers");
-
-  ServiceId svc_far = 0;  // Client in shard 0 -> service in shard 3: three cuts.
-  EXPECT_NE(
-      tb.os.Deploy(app_x, std::make_unique<EchoAccelerator>(10), &svc_far, pin(/*x=7,y=3*/ 31)),
-      kInvalidTile);
-  auto* client_far = new PeriodicClient(svc_far, /*period=*/40, /*limit=*/1'000'000);
-  const TileId ct_far =
-      tb.os.Deploy(app_x, std::unique_ptr<Accelerator>(client_far), nullptr, pin(/*x=0,y=3*/ 24));
-  EXPECT_NE(ct_far, kInvalidTile);
-  (void)tb.os.GrantSendToService(ct_far, svc_far);
-
-  ServiceId svc_near = 0;  // Client in shard 1 -> service in shard 2: one cut.
-  const TileId crash_tile = /*x=4,y=5*/ 44;
-  EXPECT_NE(tb.os.Deploy(app_x, std::make_unique<EchoAccelerator>(10), &svc_near, pin(crash_tile)),
-            kInvalidTile);
-  auto* client_near = new PeriodicClient(svc_near, /*period=*/25, /*limit=*/1'000'000);
-  const TileId ct_near =
-      tb.os.Deploy(app_x, std::unique_ptr<Accelerator>(client_near), nullptr, pin(/*x=3,y=5*/ 43));
-  EXPECT_NE(ct_near, kInvalidTile);
-  (void)tb.os.GrantSendToService(ct_near, svc_near);
-
-  // Saturator: floods the x=1|2 and x=3|4 cuts early on, then goes quiet so
-  // the tail of the run exercises fast-forwarding and mass parking.
-  ServiceId svc_burst = 0;
-  EXPECT_NE(
-      tb.os.Deploy(app_x, std::make_unique<EchoAccelerator>(2), &svc_burst, pin(/*x=5,y=0*/ 5)),
-      kInvalidTile);
-  auto* burst = new PeriodicClient(svc_burst, /*period=*/2, /*limit=*/4'000);
-  const TileId ct_burst =
-      tb.os.Deploy(app_x, std::unique_ptr<Accelerator>(burst), nullptr, pin(/*x=2,y=0*/ 2));
-  EXPECT_NE(ct_burst, kInvalidTile);
-  (void)tb.os.GrantSendToService(ct_burst, svc_burst);
-
-  // --- Chaos: a supervisor-healed crash plus windows of link faults. ---
-  Supervisor sup(&tb.os);
-  sup.Manage(crash_tile, [] { return std::make_unique<EchoAccelerator>(10); });
-
-  FaultPlan plan;
-  plan.seed = 11;
-  plan.LinkDrop(8'000, 6'000, 0.2)
-      .LinkCorrupt(14'000, 5'000, 0.2)
-      .AccelCrash(20'000, crash_tile)
-      .DramBitFlips(24'000, 4)
-      .LinkDrop(28'000, 5'000, 0.25);
-  FaultInjector injector(plan, FaultHooks{.os = &tb.os,
-                                          .mesh = &tb.board.mesh(),
-                                          .memory = &tb.board.memory()});
-  injector.EnableShardedLinkFaults(tb.board.mesh().num_tiles());
-
-  // --- The engine under test. ---
-  ParallelSimulator psim(&tb.sim, &tb.board.mesh(), ParallelConfig{kShards, threads});
-  EXPECT_EQ(psim.shards(), kShards);
-  for (uint32_t s = 0; s < kShards; ++s) {
-    psim.shard_context(s)->SetLogSink(StringSink, &shard_traces[s]);
-  }
-
-  psim.Run(kCycles);
-
-  DiffResult r;
-  r.end_cycle = tb.sim.now();
-  r.skipped_cycles = tb.sim.skipped_cycles();
-  r.skips = tb.sim.skips();
-  r.flits = tb.board.mesh().TotalFlitsRouted();
-  r.handed_off = tb.board.mesh().BoundaryFlitsHandedOff();
-  r.cloned = tb.board.mesh().BoundaryPacketsCloned();
-  r.client_sent =
-      client_a->sent + client_b->sent + client_far->sent + client_near->sent + burst->sent;
-  r.client_ok = client_a->ok + client_b->ok + client_far->ok + client_near->ok + burst->ok;
-  r.client_errors = client_a->errors + client_b->errors + client_far->errors +
-                    client_near->errors + burst->errors;
-  r.mesh_counters = tb.board.mesh().AggregateCounters().ToString();
-  r.monitor_counters = tb.os.AggregateMonitorCounters().ToString();
-  r.injector_counters = injector.counters().ToString();
-  r.fault_trace = injector.TraceString();
-  r.supervisor_counters = sup.counters().ToString();
-  r.tenant_counters = tenants.counters().ToString();
-  r.billing_a = tenants.BillingRecords(tenant_a);
-  r.billing_b = tenants.BillingRecords(tenant_b);
-  r.digest_a = tenants.BillingDigest(tenant_a);
-  r.digest_b = tenants.BillingDigest(tenant_b);
-  r.trace = root_trace;
-  for (const std::string& t : shard_traces) {
-    r.trace += t;
-  }
-
-  // Detach every sink before teardown: the capture strings die before the
-  // board (and before the mesh retires the shard contexts).
-  for (uint32_t s = 0; s < kShards; ++s) {
-    psim.shard_context(s)->SetLogSink(nullptr, nullptr);
-  }
-  tb.sim.context().SetLogSink(nullptr, nullptr);
-  SetLogSink(nullptr, nullptr);
-  SetLogLevel(prev_level);
-  return r;
-}
-
 TEST(ActiveSetDifferentialTest, FullWorkloadIsByteIdenticalWithAndWithoutActiveSets) {
-  const DiffResult base = RunWorkload(/*threads=*/1, /*active_set=*/false);
-
-  // The workload is real: traffic flowed on every path, faults landed, the
-  // supervisor healed the crash, billing was cut, and packets crossed cuts.
-  EXPECT_EQ(base.end_cycle, 40'000u);
-  EXPECT_GT(base.client_sent, 1'500u);
-  EXPECT_GT(base.client_ok, 1'500u);
-  EXPECT_GT(base.handed_off, 1'000u);
-  EXPECT_GT(base.cloned, 0u);
-  EXPECT_NE(base.injector_counters.find("fault.accel_crash=1"), std::string::npos);
-  EXPECT_NE(base.injector_counters.find("fault.link_drops_applied"), std::string::npos);
-  EXPECT_NE(base.supervisor_counters.find("supervisor"), std::string::npos);
-  EXPECT_GT(base.digest_a, 0u);
-  EXPECT_GT(base.digest_b, 0u);
-  EXPECT_FALSE(base.billing_a.empty());
-  EXPECT_FALSE(base.trace.empty());
-
-  // Axis 1: active set on vs off, serial sharded schedule. Skip counters are
-  // part of the contract: the wheel-front target must equal the O(N) sweep's.
-  const DiffResult on1 = RunWorkload(/*threads=*/1, /*active_set=*/true);
-  EXPECT_EQ(on1.skipped_cycles, base.skipped_cycles);
-  EXPECT_EQ(on1.skips, base.skips);
-  EXPECT_EQ(on1.flits, base.flits);
-  EXPECT_EQ(on1.handed_off, base.handed_off);
-  EXPECT_EQ(on1.cloned, base.cloned);
-  EXPECT_EQ(on1.client_sent, base.client_sent);
-  EXPECT_EQ(on1.client_ok, base.client_ok);
-  EXPECT_EQ(on1.client_errors, base.client_errors);
-  EXPECT_EQ(on1.fault_trace, base.fault_trace);
-  EXPECT_EQ(on1.mesh_counters, base.mesh_counters);
-  EXPECT_EQ(on1.monitor_counters, base.monitor_counters);
-  EXPECT_EQ(on1.injector_counters, base.injector_counters);
-  EXPECT_EQ(on1.supervisor_counters, base.supervisor_counters);
-  EXPECT_EQ(on1.tenant_counters, base.tenant_counters);
-  EXPECT_EQ(on1.billing_a, base.billing_a);
-  EXPECT_EQ(on1.billing_b, base.billing_b);
-  EXPECT_EQ(on1.digest_a, base.digest_a);
-  EXPECT_EQ(on1.digest_b, base.digest_b);
-  EXPECT_EQ(on1.trace, base.trace);
-  EXPECT_TRUE(on1 == base) << "active-set (threads=1) diverged from tick-everything";
-
-  // Axis 2: thread count, with per-shard active sets live.
-  for (const uint32_t threads : {2u, 4u}) {
-    const DiffResult on = RunWorkload(threads, /*active_set=*/true);
-    EXPECT_EQ(on.fault_trace, base.fault_trace) << "threads=" << threads;
-    EXPECT_EQ(on.mesh_counters, base.mesh_counters) << "threads=" << threads;
-    EXPECT_EQ(on.monitor_counters, base.monitor_counters) << "threads=" << threads;
-    EXPECT_EQ(on.billing_a, base.billing_a) << "threads=" << threads;
-    EXPECT_EQ(on.billing_b, base.billing_b) << "threads=" << threads;
-    EXPECT_EQ(on.trace, base.trace) << "threads=" << threads;
-    EXPECT_TRUE(on == base) << "active-set threads=" << threads
-                            << " diverged from tick-everything threads=1";
-    // And the baseline itself is thread-count invariant, closing the square.
-    const DiffResult off = RunWorkload(threads, /*active_set=*/false);
-    EXPECT_TRUE(off == base) << "tick-everything threads=" << threads
-                             << " diverged from threads=1";
-  }
+  ExpectShardedBoardIsReal(
+      CheckModes(RunShardedBoard, {Mode::kOptimized}, {1}, kShardedBoardEngine));
 }
 
 }  // namespace
-}  // namespace apiary
+}  // namespace apiary::differential

@@ -1,0 +1,437 @@
+// The differential harness (see tests/differential_harness.h): four
+// workloads, each run in a chosen engine mode and compared with its
+// reference run.
+#include <gtest/gtest.h>
+
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/accel/echo.h"
+#include "src/fault/fault_injector.h"
+#include "src/fault/fault_plan.h"
+#include "src/services/supervisor.h"
+#include "src/sim/logging.h"
+#include "src/sim/parallel/parallel_simulator.h"
+#include "src/tenant/tenant.h"
+#include "tests/differential_harness.h"
+#include "tests/test_util.h"
+
+namespace apiary::differential {
+namespace {
+
+const char* ModeName(Mode mode) {
+  switch (mode) {
+    case Mode::kReference:
+      return "reference";
+    case Mode::kOptimized:
+      return "optimized";
+    case Mode::kExpress:
+      return "optimized+express";
+  }
+  return "?";
+}
+
+void ApplyMode(TestBoard& tb, Mode mode) {
+  tb.sim.SetSkipEnabled(mode != Mode::kReference);
+  tb.board.mesh().SetExpressEnabled(mode == Mode::kExpress);
+}
+
+// Appends "<level> <line>\n" to the std::string passed as `user`. One
+// instance per simulation domain: the process-wide sink and each shard
+// capture separate byte-exact traces, concatenated in a fixed order.
+void StringSink(LogLevel level, const std::string& line, void* user) {
+  auto* out = static_cast<std::string*>(user);
+  *out += std::to_string(static_cast<int>(level));
+  *out += ' ';
+  *out += line;
+  *out += '\n';
+}
+
+// Captures every log line (down to kDebug) emitted outside a shard domain
+// for as long as it lives; shard sinks are attached per run.
+class TraceCapture {
+ public:
+  TraceCapture() : prev_level_(GetLogLevel()) {
+    SetLogLevel(LogLevel::kDebug);
+    SetLogSink(StringSink, &root);
+  }
+  ~TraceCapture() {
+    SetLogSink(nullptr, nullptr);
+    SetLogLevel(prev_level_);
+  }
+  TraceCapture(const TraceCapture&) = delete;
+  TraceCapture& operator=(const TraceCapture&) = delete;
+
+  std::string root;
+
+ private:
+  LogLevel prev_level_;
+};
+
+// Self-driving periodic echo client with a send budget. Declares its next
+// send cycle, so between sends the tile parks on the timer wheel; replies
+// arrive through the NI's delivery wake. Every send originates inside a
+// Tick, so under the parallel engine packets are born in the owning shard.
+class PeriodicClient : public Accelerator {
+ public:
+  PeriodicClient(ServiceId svc, Cycle period, uint64_t limit)
+      : svc_(svc), period_(period), limit_(limit) {}
+
+  void Tick(TileApi& api) override {
+    if (api.now() < next_ || sent >= limit_) {
+      return;
+    }
+    Message msg;
+    msg.opcode = kOpEcho;
+    msg.payload = {1, 2, 3, 4};
+    if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
+      ++sent;
+    }
+    next_ = api.now() + period_;
+  }
+  void OnMessage(const Message& msg, TileApi& api) override {
+    (msg.status == MsgStatus::kOk ? ok : errors) += 1;
+    reply_cycle_sum += api.now();  // Timing is observable even where logs are not.
+  }
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    if (sent >= limit_) {
+      return kNoActivity;  // Budget spent; only replies wake the tile.
+    }
+    return next_ > now ? next_ : now;
+  }
+  std::string name() const override { return "periodic_client"; }
+  uint32_t LogicCellCost() const override { return 1000; }
+
+  uint64_t sent = 0;
+  uint64_t ok = 0;
+  uint64_t errors = 0;
+  uint64_t reply_cycle_sum = 0;
+
+ private:
+  ServiceId svc_;
+  Cycle period_;
+  uint64_t limit_;
+  Cycle next_ = 0;
+};
+
+constexpr uint64_t kUnlimited = 1'000'000;
+
+DeployOptions Pin(TileId tile) {
+  DeployOptions o;
+  o.tile = tile;
+  return o;
+}
+
+void AddClient(RunResult& r, const PeriodicClient& c) {
+  r.client_sent += c.sent;
+  r.client_ok += c.ok;
+  r.client_errors += c.errors;
+  r.reply_cycle_sum += c.reply_cycle_sum;
+}
+
+void CollectBoard(RunResult& r, TestBoard& tb) {
+  r.end_cycle = tb.sim.now();
+  r.skipped_cycles = tb.sim.skipped_cycles();
+  r.skips = tb.sim.skips();
+  Mesh& mesh = tb.board.mesh();
+  r.flits = mesh.TotalFlitsRouted();
+  r.handed_off = mesh.BoundaryFlitsHandedOff();
+  r.cloned = mesh.BoundaryPacketsCloned();
+  r.mesh_counters = mesh.AggregateCounters().ToString();
+  r.latency = mesh.AggregateLatency().Summary();
+  r.express = mesh.AggregateExpressStats();
+  r.monitor_counters = tb.os.AggregateMonitorCounters().ToString();
+}
+
+void CollectChaos(RunResult& r, const FaultInjector& injector, const Supervisor& sup) {
+  r.injector_counters = injector.counters().ToString();
+  r.fault_trace = injector.TraceString();
+  r.supervisor_counters = sup.counters().ToString();
+}
+
+void ExpectSameSimulation(const RunResult& run, const RunResult& ref, const std::string& label) {
+  EXPECT_EQ(run.end_cycle, ref.end_cycle) << label;
+  EXPECT_EQ(run.flits, ref.flits) << label;
+  EXPECT_EQ(run.handed_off, ref.handed_off) << label;
+  EXPECT_EQ(run.cloned, ref.cloned) << label;
+  EXPECT_EQ(run.client_sent, ref.client_sent) << label;
+  EXPECT_EQ(run.client_ok, ref.client_ok) << label;
+  EXPECT_EQ(run.client_errors, ref.client_errors) << label;
+  EXPECT_EQ(run.reply_cycle_sum, ref.reply_cycle_sum) << label;
+  EXPECT_EQ(run.mesh_counters, ref.mesh_counters) << label;
+  EXPECT_EQ(run.latency, ref.latency) << label;
+  EXPECT_EQ(run.monitor_counters, ref.monitor_counters) << label;
+  EXPECT_EQ(run.injector_counters, ref.injector_counters) << label;
+  EXPECT_EQ(run.fault_trace, ref.fault_trace) << label;
+  EXPECT_EQ(run.supervisor_counters, ref.supervisor_counters) << label;
+  EXPECT_EQ(run.tenant_counters, ref.tenant_counters) << label;
+  EXPECT_EQ(run.billing_a, ref.billing_a) << label;
+  EXPECT_EQ(run.billing_b, ref.billing_b) << label;
+  EXPECT_EQ(run.digest_a, ref.digest_a) << label;
+  EXPECT_EQ(run.digest_b, ref.digest_b) << label;
+  EXPECT_TRUE(run.trace == ref.trace) << label << ": debug trace diverged";
+}
+
+}  // namespace
+
+RunResult CheckModes(const Workload& workload, const std::vector<Mode>& modes,
+                     const std::vector<uint32_t>& threads, const EngineExpectations& expect) {
+  const RunResult ref = workload(Mode::kReference, 1);
+  EXPECT_EQ(ref.skipped_cycles, 0u);
+  EXPECT_EQ(ref.skips, 0u);
+  EXPECT_EQ(ref.express.launches, 0u);
+  ExpressStats express1;
+  for (const uint32_t t : threads) {
+    for (const Mode mode : modes) {
+      if (mode == Mode::kReference && t == 1) {
+        continue;
+      }
+      const std::string label = std::string(ModeName(mode)) + " threads=" + std::to_string(t);
+      const RunResult run = workload(mode, t);
+      ExpectSameSimulation(run, ref, label);
+      if (mode == Mode::kReference) {
+        EXPECT_EQ(run.skipped_cycles, 0u) << label;
+        EXPECT_EQ(run.skips, 0u) << label;
+        EXPECT_EQ(run.express.launches, 0u) << label;
+        continue;
+      }
+      EXPECT_EQ(run.skipped_cycles, expect.skipped_cycles) << label;
+      EXPECT_EQ(run.skips, expect.skips) << label;
+      if (mode == Mode::kOptimized) {
+        EXPECT_EQ(run.express.launches, 0u) << label;
+        continue;
+      }
+      EXPECT_GT(run.express.launches, expect.min_corridors) << label;
+      EXPECT_GT(run.express.delivered, expect.min_corridors) << label;
+      if (t == threads.front()) {
+        express1 = run.express;
+      } else {
+        EXPECT_EQ(run.express.launches, express1.launches) << label;
+        EXPECT_EQ(run.express.delivered, express1.delivered) << label;
+        EXPECT_EQ(run.express.materializations, express1.materializations) << label;
+      }
+    }
+  }
+  return ref;
+}
+
+// E3-shaped IPC: kernel-mediated echo round trips over the NoC with long
+// idle valleys between requests — the traffic shape skipping is built for.
+RunResult RunSerialIpc(Mode mode, uint32_t /*threads*/) {
+  RunResult r;
+  TraceCapture capture;
+  {
+    TestBoard tb;
+    ApplyMode(tb, mode);
+    const AppId app = tb.os.CreateApp("ipc");
+    ServiceId svc = 0;
+    (void)tb.os.Deploy(app, std::make_unique<EchoAccelerator>(/*service_cycles=*/20), &svc);
+    auto* client = new PeriodicClient(svc, /*period=*/1'000, kUnlimited);
+    const TileId ct = tb.os.Deploy(app, std::unique_ptr<Accelerator>(client));
+    (void)tb.os.GrantSendToService(ct, svc);
+
+    tb.sim.Run(200'000);
+
+    CollectBoard(r, tb);
+    AddClient(r, *client);
+  }
+  r.trace = std::move(capture.root);
+  return r;
+}
+
+// A9-shaped chaos on the default 4x4 board: a seeded fault campaign (link
+// drops/corruption, DRAM upsets, an accelerator crash healed by the
+// supervisor) over periodic traffic. Fault windows and plan events bound
+// fast-forwarding and materialize corridors, so every fault must land on
+// the same cycle in every mode.
+RunResult RunSerialChaos(Mode mode, uint32_t /*threads*/) {
+  RunResult r;
+  TraceCapture capture;
+  {
+    TestBoardOptions options;
+    options.reconfig_cycles = 20'000;
+    TestBoard tb(options);
+    ApplyMode(tb, mode);
+
+    const AppId app = tb.os.CreateApp("chaos");
+    ServiceId svc = 0;
+    const TileId st = tb.os.Deploy(app, std::make_unique<EchoAccelerator>(5), &svc);
+    auto* client = new PeriodicClient(svc, /*period=*/200, kUnlimited);
+    const TileId ct = tb.os.Deploy(app, std::unique_ptr<Accelerator>(client));
+    (void)tb.os.GrantSendToService(ct, svc);
+
+    Supervisor sup(&tb.os);
+    sup.Manage(st, [] { return std::make_unique<EchoAccelerator>(5); });
+
+    FaultPlan plan;
+    plan.seed = 9;
+    plan.LinkDrop(10'000, 15'000, 0.3)
+        .LinkCorrupt(30'000, 15'000, 0.25)
+        .DramBitFlips(40'000, 4)
+        .AccelCrash(50'000, st)
+        .LinkDrop(90'000, 10'000, 0.3)
+        .DramBitFlips(100'000, 4);
+    FaultInjector injector(plan, FaultHooks{.os = &tb.os,
+                                            .mesh = &tb.board.mesh(),
+                                            .memory = &tb.board.memory()});
+
+    tb.sim.Run(150'000);
+
+    CollectBoard(r, tb);
+    CollectChaos(r, injector, sup);
+    AddClient(r, *client);
+  }
+  r.trace = std::move(capture.root);
+  return r;
+}
+
+// 8x8 board, 4 column-band shards (x in {0,1} | {2,3} | {4,5} | {6,7}); tile
+// ids are row-major (tile = y*8 + x). Two shard-aligned tenants with quotas
+// and billing, kernel-mediated IPC across one and three cuts, an early
+// saturating burst across two cuts, a column-0 flow whose route stays inside
+// shard 0 (the corridor-eligible flow), and a supervisor-healed crash among
+// windows of sharded link faults.
+RunResult RunShardedBoard(Mode mode, uint32_t threads) {
+  constexpr uint32_t kShards = 4;
+
+  TestBoardOptions options;
+  options.width = 8;
+  options.height = 8;
+  options.reconfig_cycles = 2'000;
+  options.tile_region_cells = 25'000;  // 64 tiles of 100k would not fit VU9P.
+  TestBoard tb(options);
+  ApplyMode(tb, mode);
+  TraceCapture capture;
+  std::vector<PeriodicClient*> clients;
+
+  TenantManager tenants(&tb.os, /*meter_period=*/10'000);
+  TenantQuota quota;
+  quota.max_tiles = 4;
+  quota.noc_flits_per_1k = 4'000;
+  quota.noc_burst_flits = 256;
+  const TenantId tenant_a = tenants.CreateTenant("alpha", quota);
+  const TenantId tenant_b = tenants.CreateTenant("beta", quota);
+  // Deploys an echo service on tile `st` and a PeriodicClient on tile `ct`,
+  // through tenant `t` (with its app) or, for kInvalidTenant, the bare OS.
+  auto pair = [&](TenantId t, AppId app, Cycle service, TileId st, TileId ct, Cycle period,
+                  uint64_t limit) {
+    const bool bare = t == kInvalidTenant;
+    ServiceId svc = 0;
+    auto echo = std::make_unique<EchoAccelerator>(service);
+    const TileId placed = bare ? tb.os.Deploy(app, std::move(echo), &svc, Pin(st))
+                               : tenants.Deploy(t, app, std::move(echo), &svc, Pin(st));
+    EXPECT_EQ(placed, st);
+    clients.push_back(new PeriodicClient(svc, period, limit));
+    std::unique_ptr<Accelerator> client(clients.back());
+    const TileId placed_client = bare ? tb.os.Deploy(app, std::move(client), nullptr, Pin(ct))
+                                      : tenants.Deploy(t, app, std::move(client), nullptr, Pin(ct));
+    EXPECT_EQ(placed_client, ct);
+    (void)(bare ? tb.os.GrantSendToService(ct, svc) : tenants.GrantSendToService(t, ct, svc));
+  };
+  // Tenant A lives in shard 0 (x in {0,1}); tenant B in shard 3 (x in {6,7}).
+  const AppId app_a = tenants.CreateApp(tenant_a, "alpha_app");
+  const AppId app_b = tenants.CreateApp(tenant_b, "beta_app");
+  pair(tenant_a, app_a, 5, /*x=1,y=1*/ 9, /*x=0,y=1*/ 8, 120, kUnlimited);
+  pair(tenant_b, app_b, 5, /*x=6,y=6*/ 54, /*x=7,y=6*/ 55, 150, kUnlimited);
+
+  const AppId app_x = tb.os.CreateApp("crossers");
+  const TileId crash_tile = /*x=4,y=5*/ 44;
+  pair(kInvalidTenant, app_x, 10, /*x=7,y=3*/ 31, /*x=0,y=3*/ 24, 40, kUnlimited);  // 3 cuts.
+  pair(kInvalidTenant, app_x, 10, crash_tile, /*x=3,y=5*/ 43, 25, kUnlimited);       // 1 cut.
+  // Saturator: floods the x=1|2 and x=3|4 cuts early on, then goes quiet so
+  // the tail of the run exercises fast-forwarding and mass parking.
+  pair(kInvalidTenant, app_x, 2, /*x=5,y=0*/ 5, /*x=2,y=0*/ 2, 2, /*limit=*/4'000);
+  // Column 0, y=7 -> y=4: path tiles and their zone stencils sit inside
+  // shard 0, so the shard lane can cover the route end to end.
+  pair(kInvalidTenant, app_x, 8, /*x=0,y=4*/ 32, /*x=0,y=7*/ 56, 180, kUnlimited);
+
+  Supervisor sup(&tb.os);
+  sup.Manage(crash_tile, [] { return std::make_unique<EchoAccelerator>(10); });
+
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.LinkDrop(8'000, 6'000, 0.2)
+      .LinkCorrupt(16'000, 6'000, 0.2)
+      .AccelCrash(25'000, crash_tile)
+      .DramBitFlips(30'000, 4)
+      .LinkDrop(35'000, 5'000, 0.25);
+  FaultInjector injector(plan, FaultHooks{.os = &tb.os,
+                                          .mesh = &tb.board.mesh(),
+                                          .memory = &tb.board.memory()});
+  injector.EnableShardedLinkFaults(tb.board.mesh().num_tiles());
+
+  ParallelSimulator psim(&tb.sim, &tb.board.mesh(), ParallelConfig{kShards, threads});
+  EXPECT_EQ(psim.shards(), kShards);
+  std::vector<std::string> shard_traces(kShards);
+  for (uint32_t s = 0; s < kShards; ++s) {
+    psim.shard_context(s)->SetLogSink(StringSink, &shard_traces[s]);
+  }
+
+  psim.Run(60'000);
+
+  RunResult r;
+  CollectBoard(r, tb);
+  CollectChaos(r, injector, sup);
+  for (const PeriodicClient* c : clients) {
+    AddClient(r, *c);
+  }
+  r.tenant_counters = tenants.counters().ToString();
+  r.billing_a = tenants.BillingRecords(tenant_a);
+  r.billing_b = tenants.BillingRecords(tenant_b);
+  r.digest_a = tenants.BillingDigest(tenant_a);
+  r.digest_b = tenants.BillingDigest(tenant_b);
+  // Detach the shard sinks before the capture strings die; the shard
+  // contexts themselves outlive the engine (the mesh retires them).
+  for (uint32_t s = 0; s < kShards; ++s) {
+    psim.shard_context(s)->SetLogSink(nullptr, nullptr);
+  }
+  r.trace = std::move(capture.root);
+  for (const std::string& t : shard_traces) {
+    r.trace += t;
+  }
+  return r;
+}
+
+// Undeploy of a tile on a corridor: vacating the service tile mid-stream
+// revokes routes and identity but leaves the NoC state alone — in-flight
+// corridors to that tile keep their exact timing while the tail drains.
+RunResult RunMidCorridorUndeploy(Mode mode, uint32_t /*threads*/) {
+  RunResult r;
+  TraceCapture capture;
+  {
+    TestBoard tb;
+    ApplyMode(tb, mode);
+    const AppId app = tb.os.CreateApp("undeploy");
+    ServiceId svc = 0;
+    const TileId st = tb.os.Deploy(app, std::make_unique<EchoAccelerator>(3), &svc);
+    auto* client = new PeriodicClient(svc, /*period=*/50, kUnlimited);
+    const TileId ct = tb.os.Deploy(app, std::unique_ptr<Accelerator>(client));
+    (void)tb.os.GrantSendToService(ct, svc);
+    tb.sim.Run(1'025);
+    EXPECT_TRUE(tb.os.Undeploy(st));
+    tb.sim.Run(5'000);
+    CollectBoard(r, tb);
+    AddClient(r, *client);
+  }
+  r.trace = std::move(capture.root);
+  return r;
+}
+
+void ExpectShardedBoardIsReal(const RunResult& ref) {
+  EXPECT_EQ(ref.end_cycle, 60'000u);
+  EXPECT_GT(ref.client_sent, 2'000u);
+  EXPECT_GT(ref.client_ok, 2'000u);
+  EXPECT_GT(ref.handed_off, 1'000u);
+  EXPECT_GT(ref.cloned, 0u);
+  EXPECT_NE(ref.injector_counters.find("fault.accel_crash=1"), std::string::npos);
+  EXPECT_NE(ref.injector_counters.find("fault.link_drops_applied"), std::string::npos);
+  EXPECT_NE(ref.supervisor_counters.find("supervisor"), std::string::npos);
+  EXPECT_GT(ref.digest_a, 0u);
+  EXPECT_GT(ref.digest_b, 0u);
+  EXPECT_FALSE(ref.billing_a.empty());
+  EXPECT_FALSE(ref.trace.empty());
+}
+
+}  // namespace apiary::differential

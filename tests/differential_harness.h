@@ -1,0 +1,107 @@
+// Differential determinism: every engine configuration must be invisible to
+// the simulation. The oracle is the reference engine (SetSkipEnabled(false):
+// every block ticked every cycle, no fast-forward, no express corridors).
+// Four workloads run here: serial IPC, serial chaos, the sharded 8x8 board
+// and a mid-corridor undeploy. Each test runs a workload in the modes and
+// at the thread counts it names, and every run must match the workload's
+// reference run at threads=1 byte for byte: end cycle, debug trace,
+// mesh/monitor/injector/supervisor/tenant counters, latency summary, fault
+// records, billing records and digests, and boundary handoff/clone counts.
+//
+// The engine's own observables are checked on top: the reference run never
+// skips; every optimized and express run skips exactly the recorded number
+// of cycles in exactly the recorded number of jumps; express runs launch
+// corridors (with the same lane stats at every thread count) and the others
+// launch none. The skip constants were recorded with the O(N) NextActivity
+// sweep the active set replaced, so they pin the active set's skip targets
+// to the brute-force minimum.
+//
+// The suites split the (workload, mode, threads) grid between them, each
+// combination run once:
+//   skip_differential_test        serial IPC and chaos, optimized
+//   active_set_differential_test  sharded board, optimized, threads 1
+//   parallel_differential_test    sharded board, reference and
+//                                 optimized, threads 2/4
+//   express_differential_test     all four workloads, express (sharded
+//                                 board at threads 1/2/4), plus the
+//                                 undeploy workload optimized
+// Run under TSan in CI, the sharded-board suites are also the data-race
+// proof for the parallel engine, its per-shard active sets and its
+// per-shard express lanes.
+#ifndef TESTS_DIFFERENTIAL_HARNESS_H_
+#define TESTS_DIFFERENTIAL_HARNESS_H_
+
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "src/noc/express.h"
+#include "src/sim/types.h"
+
+namespace apiary::differential {
+
+enum class Mode { kReference, kOptimized, kExpress };
+
+struct RunResult {
+  // Simulation-visible: must equal the reference run.
+  Cycle end_cycle = 0;
+  uint64_t flits = 0;
+  uint64_t handed_off = 0;
+  uint64_t cloned = 0;
+  uint64_t client_sent = 0;
+  uint64_t client_ok = 0;
+  uint64_t client_errors = 0;
+  uint64_t reply_cycle_sum = 0;
+  std::string mesh_counters;
+  std::string latency;
+  std::string monitor_counters;
+  std::string injector_counters;
+  std::string fault_trace;
+  std::string supervisor_counters;
+  std::string tenant_counters;
+  std::string billing_a;
+  std::string billing_b;
+  uint32_t digest_a = 0;
+  uint32_t digest_b = 0;
+  std::string trace;  // Process-wide trace, then shard traces in shard order.
+  // Engine observables: differ by mode by construction.
+  uint64_t skipped_cycles = 0;
+  uint64_t skips = 0;
+  ExpressStats express;
+};
+
+// What the optimized engine must report on top of matching the reference.
+struct EngineExpectations {
+  uint64_t skipped_cycles;  // Recorded with the O(N) sweep engine.
+  uint64_t skips;
+  uint64_t min_corridors;  // Express launches and delivers strictly more.
+};
+
+using Workload = std::function<RunResult(Mode, uint32_t threads)>;
+
+// Runs `workload` in each of `modes` at each thread count in `threads`
+// (skipping the reference run at threads=1, the oracle itself) and checks
+// each run against the reference run at threads=1, which it returns for
+// the workload's own "the scenario is real" checks.
+RunResult CheckModes(const Workload& workload, const std::vector<Mode>& modes,
+                     const std::vector<uint32_t>& threads, const EngineExpectations& expect);
+
+// The workloads. Serial ones ignore `threads`.
+RunResult RunSerialIpc(Mode mode, uint32_t threads);
+RunResult RunSerialChaos(Mode mode, uint32_t threads);
+RunResult RunShardedBoard(Mode mode, uint32_t threads);
+RunResult RunMidCorridorUndeploy(Mode mode, uint32_t threads);
+
+// Skip counts per workload, recorded with the O(N) NextActivity sweep.
+inline constexpr EngineExpectations kSerialIpcEngine{196'800, 800, 0};
+inline constexpr EngineExpectations kSerialChaosEngine{138'530, 2'792, 100};
+inline constexpr EngineExpectations kShardedBoardEngine{5'183, 2'242, 50};
+inline constexpr EngineExpectations kMidCorridorUndeployEngine{5'588, 185, 0};
+
+// "The scenario is real" checks on a workload's reference run.
+void ExpectShardedBoardIsReal(const RunResult& ref);
+
+}  // namespace apiary::differential
+
+#endif  // TESTS_DIFFERENTIAL_HARNESS_H_

@@ -1,472 +1,40 @@
-// Differential determinism for express corridors (ISSUE 10): the analytic
-// fast-forward must be invisible. Every scenario runs with express enabled
-// and with the `--no-express` escape hatch (SetExpressEnabled(false)), and
-// every observable — end cycles, debug traces, mesh/monitor/injector
-// counters, fault records, tenant billing digests — must match byte for
-// byte. Express runs must also actually use corridors, so a regression that
-// quietly refuses every launch cannot pass.
-//
-// The parallel scenario reuses the engine differential workload (8x8 board,
-// 4 column-band shards, tenants + chaos + supervisor) plus a column-aligned
-// flow that qualifies for shard-interior corridors, and checks express
-// on-vs-off at threads 1/2/4 AND express-on across thread counts. Run under
-// TSan in the sanitize CI job, this is also the data-race proof for the
-// per-shard express lanes.
+// Differential determinism for express corridors: with express on, every
+// workload must match its reference run byte for byte, launch corridors,
+// and on the sharded 8x8 board report the same lane stats at threads 1, 2
+// and 4. Run under TSan in CI, this is the data-race proof for the
+// per-shard express lanes. Harness and workloads:
+// tests/differential_harness.h.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "src/accel/echo.h"
-#include "src/fault/fault_injector.h"
-#include "src/fault/fault_plan.h"
-#include "src/services/supervisor.h"
-#include "src/sim/logging.h"
-#include "src/sim/parallel/parallel_simulator.h"
-#include "src/tenant/tenant.h"
-#include "tests/test_util.h"
+#include "tests/differential_harness.h"
 
-namespace apiary {
+namespace apiary::differential {
 namespace {
 
-void StringSink(LogLevel level, const std::string& line, void* user) {
-  auto* out = static_cast<std::string*>(user);
-  *out += std::to_string(static_cast<int>(level));
-  *out += ' ';
-  *out += line;
-  *out += '\n';
-}
-
-// Self-driving periodic echo client (see parallel_differential_test.cc: every
-// send originates inside a Tick so packets are born in the owning domain).
-class PeriodicClient : public Accelerator {
- public:
-  PeriodicClient(ServiceId svc, Cycle period, uint64_t limit)
-      : svc_(svc), period_(period), limit_(limit) {}
-
-  void Tick(TileApi& api) override {
-    if (api.now() < next_ || sent >= limit_) {
-      return;
-    }
-    Message msg;
-    msg.opcode = kOpEcho;
-    msg.payload = {1, 2, 3, 4};
-    if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-      ++sent;
-    }
-    next_ = api.now() + period_;
-  }
-  void OnMessage(const Message& msg, TileApi&) override {
-    (msg.status == MsgStatus::kOk ? ok : errors) += 1;
-  }
-  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
-    if (sent >= limit_) {
-      return kNoActivity;
-    }
-    return next_ > now ? next_ : now;
-  }
-  std::string name() const override { return "periodic_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent = 0;
-  uint64_t ok = 0;
-  uint64_t errors = 0;
-
- private:
-  ServiceId svc_;
-  Cycle period_;
-  uint64_t limit_;
-  Cycle next_ = 0;
-};
-
-struct DiffResult {
-  Cycle end_cycle = 0;
-  uint64_t skipped_cycles = 0;
-  uint64_t flits = 0;
-  uint64_t handed_off = 0;
-  uint64_t cloned = 0;
-  uint64_t client_sent = 0;
-  uint64_t client_ok = 0;
-  uint64_t client_errors = 0;
-  std::string mesh_counters;
-  std::string latency;
-  std::string monitor_counters;
-  std::string injector_counters;
-  std::string fault_trace;
-  std::string supervisor_counters;
-  std::string tenant_counters;
-  std::string billing_a;
-  std::string billing_b;
-  uint32_t digest_a = 0;
-  uint32_t digest_b = 0;
-  std::string trace;  // Root trace + shard traces, in shard order.
-  // Express lane stats, OUTSIDE operator== — they differ between the express
-  // and no-express runs by construction, but must match across thread counts.
-  ExpressStats express;
-
-  bool operator==(const DiffResult& o) const {
-    return end_cycle == o.end_cycle && skipped_cycles == o.skipped_cycles && flits == o.flits &&
-           handed_off == o.handed_off && cloned == o.cloned && client_sent == o.client_sent &&
-           client_ok == o.client_ok && client_errors == o.client_errors &&
-           mesh_counters == o.mesh_counters && latency == o.latency &&
-           monitor_counters == o.monitor_counters && injector_counters == o.injector_counters &&
-           fault_trace == o.fault_trace && supervisor_counters == o.supervisor_counters &&
-           tenant_counters == o.tenant_counters && billing_a == o.billing_a &&
-           billing_b == o.billing_b && digest_a == o.digest_a && digest_b == o.digest_b &&
-           trace == o.trace;
-  }
-};
-
-// 8x8 board, 4 column-band shards; tenants + cross-shard IPC + chaos (the
-// engine differential workload) plus a column-0 vertical echo pair whose
-// whole route (and zone) stays inside shard 0 — the corridor-eligible flow.
-DiffResult RunParallelWorkload(uint32_t threads, bool express) {
-  constexpr uint32_t kShards = 4;
-  constexpr Cycle kCycles = 60'000;
-
-  TestBoardOptions options;
-  options.width = 8;
-  options.height = 8;
-  options.reconfig_cycles = 2'000;
-  options.tile_region_cells = 25'000;
-  TestBoard tb(options);
-  tb.board.mesh().SetExpressEnabled(express);
-
-  std::string root_trace;
-  std::vector<std::string> shard_traces(kShards);
-  const LogLevel prev_level = GetLogLevel();
-  SetLogLevel(LogLevel::kDebug);
-  SetLogSink(StringSink, &root_trace);
-  tb.sim.context().SetLogSink(StringSink, &root_trace);
-
-  TenantManager tenants(&tb.os, /*meter_period=*/10'000);
-  TenantQuota quota;
-  quota.max_tiles = 4;
-  quota.noc_flits_per_1k = 4'000;
-  quota.noc_burst_flits = 256;
-  const TenantId tenant_a = tenants.CreateTenant("alpha", quota);
-  const TenantId tenant_b = tenants.CreateTenant("beta", quota);
-  const AppId app_a = tenants.CreateApp(tenant_a, "alpha_app");
-  const AppId app_b = tenants.CreateApp(tenant_b, "beta_app");
-
-  auto pin = [](TileId tile) {
-    DeployOptions o;
-    o.tile = tile;
-    return o;
-  };
-
-  ServiceId svc_a = 0;
-  EXPECT_NE(tenants.Deploy(tenant_a, app_a, std::make_unique<EchoAccelerator>(5), &svc_a,
-                           pin(/*x=1,y=1*/ 9)),
-            kInvalidTile);
-  auto* client_a = new PeriodicClient(svc_a, /*period=*/120, /*limit=*/1'000'000);
-  const TileId ct_a = tenants.Deploy(tenant_a, app_a, std::unique_ptr<Accelerator>(client_a),
-                                     nullptr, pin(/*x=0,y=1*/ 8));
-  EXPECT_NE(ct_a, kInvalidTile);
-  (void)tenants.GrantSendToService(tenant_a, ct_a, svc_a);
-
-  ServiceId svc_b = 0;
-  EXPECT_NE(tenants.Deploy(tenant_b, app_b, std::make_unique<EchoAccelerator>(5), &svc_b,
-                           pin(/*x=6,y=6*/ 54)),
-            kInvalidTile);
-  auto* client_b = new PeriodicClient(svc_b, /*period=*/150, /*limit=*/1'000'000);
-  const TileId ct_b = tenants.Deploy(tenant_b, app_b, std::unique_ptr<Accelerator>(client_b),
-                                     nullptr, pin(/*x=7,y=6*/ 55));
-  EXPECT_NE(ct_b, kInvalidTile);
-  (void)tenants.GrantSendToService(tenant_b, ct_b, svc_b);
-
-  const AppId app_x = tb.os.CreateApp("crossers");
-
-  ServiceId svc_far = 0;
-  EXPECT_NE(
-      tb.os.Deploy(app_x, std::make_unique<EchoAccelerator>(10), &svc_far, pin(/*x=7,y=3*/ 31)),
-      kInvalidTile);
-  auto* client_far = new PeriodicClient(svc_far, /*period=*/40, /*limit=*/1'000'000);
-  const TileId ct_far =
-      tb.os.Deploy(app_x, std::unique_ptr<Accelerator>(client_far), nullptr, pin(/*x=0,y=3*/ 24));
-  EXPECT_NE(ct_far, kInvalidTile);
-  (void)tb.os.GrantSendToService(ct_far, svc_far);
-
-  ServiceId svc_near = 0;
-  const TileId crash_tile = /*x=4,y=5*/ 44;
-  EXPECT_NE(tb.os.Deploy(app_x, std::make_unique<EchoAccelerator>(10), &svc_near, pin(crash_tile)),
-            kInvalidTile);
-  auto* client_near = new PeriodicClient(svc_near, /*period=*/25, /*limit=*/1'000'000);
-  const TileId ct_near =
-      tb.os.Deploy(app_x, std::unique_ptr<Accelerator>(client_near), nullptr, pin(/*x=3,y=5*/ 43));
-  EXPECT_NE(ct_near, kInvalidTile);
-  (void)tb.os.GrantSendToService(ct_near, svc_near);
-
-  ServiceId svc_burst = 0;
-  EXPECT_NE(
-      tb.os.Deploy(app_x, std::make_unique<EchoAccelerator>(2), &svc_burst, pin(/*x=5,y=0*/ 5)),
-      kInvalidTile);
-  auto* burst = new PeriodicClient(svc_burst, /*period=*/2, /*limit=*/4'000);
-  const TileId ct_burst =
-      tb.os.Deploy(app_x, std::unique_ptr<Accelerator>(burst), nullptr, pin(/*x=2,y=0*/ 2));
-  EXPECT_NE(ct_burst, kInvalidTile);
-  (void)tb.os.GrantSendToService(ct_burst, svc_burst);
-
-  // The corridor-eligible flow: column 0, y=7 -> y=4. Path tiles and their
-  // whole zone stencils sit inside shard 0 (x in {0,1}), so the shard lane
-  // can cover the route end to end; request and reply both qualify whenever
-  // the x<=1 neighborhood is quiet.
-  ServiceId svc_col = 0;
-  EXPECT_NE(
-      tb.os.Deploy(app_x, std::make_unique<EchoAccelerator>(8), &svc_col, pin(/*x=0,y=4*/ 32)),
-      kInvalidTile);
-  auto* client_col = new PeriodicClient(svc_col, /*period=*/180, /*limit=*/1'000'000);
-  const TileId ct_col =
-      tb.os.Deploy(app_x, std::unique_ptr<Accelerator>(client_col), nullptr, pin(/*x=0,y=7*/ 56));
-  EXPECT_NE(ct_col, kInvalidTile);
-  (void)tb.os.GrantSendToService(ct_col, svc_col);
-
-  Supervisor sup(&tb.os);
-  sup.Manage(crash_tile, [] { return std::make_unique<EchoAccelerator>(10); });
-
-  FaultPlan plan;
-  plan.seed = 11;
-  plan.LinkDrop(8'000, 6'000, 0.2)
-      .LinkCorrupt(16'000, 6'000, 0.2)
-      .AccelCrash(25'000, crash_tile)
-      .DramBitFlips(30'000, 4)
-      .LinkDrop(35'000, 5'000, 0.25);
-  FaultInjector injector(plan, FaultHooks{.os = &tb.os,
-                                          .mesh = &tb.board.mesh(),
-                                          .memory = &tb.board.memory()});
-  injector.EnableShardedLinkFaults(tb.board.mesh().num_tiles());
-
-  ParallelSimulator psim(&tb.sim, &tb.board.mesh(), ParallelConfig{kShards, threads});
-  EXPECT_EQ(psim.shards(), kShards);
-  for (uint32_t s = 0; s < kShards; ++s) {
-    psim.shard_context(s)->SetLogSink(StringSink, &shard_traces[s]);
-  }
-
-  psim.Run(kCycles);
-
-  DiffResult r;
-  r.end_cycle = tb.sim.now();
-  r.skipped_cycles = tb.sim.skipped_cycles();
-  r.flits = tb.board.mesh().TotalFlitsRouted();
-  r.handed_off = tb.board.mesh().BoundaryFlitsHandedOff();
-  r.cloned = tb.board.mesh().BoundaryPacketsCloned();
-  r.client_sent = client_a->sent + client_b->sent + client_far->sent + client_near->sent +
-                  burst->sent + client_col->sent;
-  r.client_ok = client_a->ok + client_b->ok + client_far->ok + client_near->ok + burst->ok +
-                client_col->ok;
-  r.client_errors = client_a->errors + client_b->errors + client_far->errors +
-                    client_near->errors + burst->errors + client_col->errors;
-  r.mesh_counters = tb.board.mesh().AggregateCounters().ToString();
-  r.latency = tb.board.mesh().AggregateLatency().Summary();
-  r.monitor_counters = tb.os.AggregateMonitorCounters().ToString();
-  r.injector_counters = injector.counters().ToString();
-  r.fault_trace = injector.TraceString();
-  r.supervisor_counters = sup.counters().ToString();
-  r.tenant_counters = tenants.counters().ToString();
-  r.billing_a = tenants.BillingRecords(tenant_a);
-  r.billing_b = tenants.BillingRecords(tenant_b);
-  r.digest_a = tenants.BillingDigest(tenant_a);
-  r.digest_b = tenants.BillingDigest(tenant_b);
-  r.express = tb.board.mesh().AggregateExpressStats();
-  r.trace = root_trace;
-  for (const std::string& t : shard_traces) {
-    r.trace += t;
-  }
-
-  for (uint32_t s = 0; s < kShards; ++s) {
-    psim.shard_context(s)->SetLogSink(nullptr, nullptr);
-  }
-  tb.sim.context().SetLogSink(nullptr, nullptr);
-  SetLogSink(nullptr, nullptr);
-  SetLogLevel(prev_level);
-  return r;
-}
-
 TEST(ExpressDifferentialTest, ParallelWorkloadByteIdenticalAcrossExpressAndThreads) {
-  const DiffResult on1 = RunParallelWorkload(1, true);
-  const DiffResult off1 = RunParallelWorkload(1, false);
-
-  // The workload is real, and express really engaged: shard-interior
-  // corridors launched and delivered analytically.
-  EXPECT_EQ(on1.end_cycle, 60'000u);
-  EXPECT_GT(on1.client_sent, 2'000u);
-  EXPECT_GT(on1.client_ok, 2'000u);
-  EXPECT_GT(on1.handed_off, 1'000u);
-  EXPECT_NE(on1.injector_counters.find("fault.accel_crash=1"), std::string::npos);
-  EXPECT_GT(on1.digest_a, 0u);
-  EXPECT_GT(on1.digest_b, 0u);
-  EXPECT_GT(on1.express.launches, 50u);
-  EXPECT_GT(on1.express.delivered, 50u);
-  EXPECT_EQ(off1.express.launches, 0u);
-
-  // Express on vs off: byte-identical, field by field for readable diffs.
-  EXPECT_EQ(on1.end_cycle, off1.end_cycle);
-  EXPECT_EQ(on1.skipped_cycles, off1.skipped_cycles);
-  EXPECT_EQ(on1.flits, off1.flits);
-  EXPECT_EQ(on1.mesh_counters, off1.mesh_counters);
-  EXPECT_EQ(on1.latency, off1.latency);
-  EXPECT_EQ(on1.monitor_counters, off1.monitor_counters);
-  EXPECT_EQ(on1.fault_trace, off1.fault_trace);
-  EXPECT_EQ(on1.billing_a, off1.billing_a);
-  EXPECT_EQ(on1.billing_b, off1.billing_b);
-  EXPECT_EQ(on1.trace, off1.trace);
-  EXPECT_TRUE(on1 == off1) << "express diverged from --no-express at threads=1";
-
-  // Express on across thread counts: identical, including lane stats.
-  const DiffResult on2 = RunParallelWorkload(2, true);
-  const DiffResult on4 = RunParallelWorkload(4, true);
-  EXPECT_TRUE(on2 == on1) << "express threads=2 diverged from threads=1";
-  EXPECT_TRUE(on4 == on1) << "express threads=4 diverged from threads=1";
-  EXPECT_EQ(on2.express.launches, on1.express.launches);
-  EXPECT_EQ(on2.express.delivered, on1.express.delivered);
-  EXPECT_EQ(on2.express.materializations, on1.express.materializations);
-  EXPECT_EQ(on4.express.launches, on1.express.launches);
-  EXPECT_EQ(on4.express.delivered, on1.express.delivered);
-  EXPECT_EQ(on4.express.materializations, on1.express.materializations);
-
-  // And off stays thread-identical too (the engine differential, re-proved
-  // with the ShardCommit signature carrying `now`).
-  const DiffResult off4 = RunParallelWorkload(4, false);
-  EXPECT_TRUE(off4 == off1) << "--no-express threads=4 diverged from threads=1";
+  ExpectShardedBoardIsReal(
+      CheckModes(RunShardedBoard, {Mode::kExpress}, {1, 2, 4}, kShardedBoardEngine));
 }
 
-// Serial chaos scenario (4x4 board, supervisor-healed crash, link fault
-// windows): express corridors launch in the quiet stretches, the injector's
-// Fire hook materializes them when windows open, and everything matches the
-// no-express run byte for byte.
-struct SerialResult {
-  Cycle end_cycle = 0;
-  uint64_t skipped_cycles = 0;
-  uint64_t flits = 0;
-  std::string mesh_counters;
-  std::string latency;
-  std::string monitor_counters;
-  std::string injector_counters;
-  std::string fault_trace;
-  std::string supervisor_counters;
-  uint64_t client_ok = 0;
-  uint64_t client_errors = 0;
-  std::string trace;
-  ExpressStats express;
-
-  bool operator==(const SerialResult& o) const {
-    return end_cycle == o.end_cycle && skipped_cycles == o.skipped_cycles && flits == o.flits &&
-           mesh_counters == o.mesh_counters && latency == o.latency &&
-           monitor_counters == o.monitor_counters && injector_counters == o.injector_counters &&
-           fault_trace == o.fault_trace && supervisor_counters == o.supervisor_counters &&
-           client_ok == o.client_ok && client_errors == o.client_errors && trace == o.trace;
-  }
-};
-
-SerialResult RunSerialChaos(bool express) {
-  SerialResult r;
-  std::string trace;
-  SetLogSink(StringSink, &trace);
-  const LogLevel prev = GetLogLevel();
-  SetLogLevel(LogLevel::kDebug);
-  {
-    TestBoardOptions options;
-    options.reconfig_cycles = 20'000;
-    TestBoard tb(options);
-    tb.board.mesh().SetExpressEnabled(express);
-
-    AppId app = tb.os.CreateApp("chaos");
-    ServiceId svc = 0;
-    const TileId st = tb.os.Deploy(app, std::make_unique<EchoAccelerator>(5), &svc);
-    auto* client = new PeriodicClient(svc, /*period=*/200, /*limit=*/1'000'000);
-    const TileId ct = tb.os.Deploy(app, std::unique_ptr<Accelerator>(client));
-    (void)tb.os.GrantSendToService(ct, svc);
-
-    Supervisor sup(&tb.os);
-    sup.Manage(st, [] { return std::make_unique<EchoAccelerator>(5); });
-
-    FaultPlan plan;
-    plan.seed = 9;
-    plan.LinkDrop(10'000, 15'000, 0.3)
-        .LinkCorrupt(30'000, 15'000, 0.25)
-        .DramBitFlips(40'000, 4)
-        .AccelCrash(50'000, st)
-        .LinkDrop(90'000, 10'000, 0.3)
-        .DramBitFlips(100'000, 4);
-    FaultInjector injector(plan, FaultHooks{.os = &tb.os,
-                                            .mesh = &tb.board.mesh(),
-                                            .memory = &tb.board.memory()});
-
-    tb.sim.Run(150'000);
-
-    r.end_cycle = tb.sim.now();
-    r.skipped_cycles = tb.sim.skipped_cycles();
-    r.flits = tb.board.mesh().TotalFlitsRouted();
-    r.mesh_counters = tb.board.mesh().AggregateCounters().ToString();
-    r.latency = tb.board.mesh().AggregateLatency().Summary();
-    r.monitor_counters = tb.os.AggregateMonitorCounters().ToString();
-    r.injector_counters = injector.counters().ToString();
-    r.fault_trace = injector.TraceString();
-    r.supervisor_counters = sup.counters().ToString();
-    r.client_ok = client->ok;
-    r.client_errors = client->errors;
-    r.express = tb.board.mesh().AggregateExpressStats();
-  }
-  SetLogLevel(prev);
-  SetLogSink(nullptr, nullptr);
-  r.trace = std::move(trace);
-  return r;
+TEST(ExpressDifferentialTest, SerialIpcMatchesNoExpressByteForByte) {
+  const RunResult ref = CheckModes(RunSerialIpc, {Mode::kExpress}, {1}, kSerialIpcEngine);
+  EXPECT_GT(ref.client_ok, 100u);
 }
 
 TEST(ExpressDifferentialTest, SerialChaosMatchesNoExpressByteForByte) {
-  const SerialResult on = RunSerialChaos(true);
-  const SerialResult off = RunSerialChaos(false);
-  EXPECT_EQ(on.fault_trace, off.fault_trace);
-  EXPECT_EQ(on.mesh_counters, off.mesh_counters);
-  EXPECT_EQ(on.monitor_counters, off.monitor_counters);
-  EXPECT_EQ(on.trace, off.trace);
-  EXPECT_TRUE(on == off) << "express diverged from --no-express under chaos";
-  // The campaign did damage AND express really ran between the windows.
-  EXPECT_NE(on.injector_counters.find("fault.accel_crash=1"), std::string::npos);
-  EXPECT_GT(on.client_ok + on.client_errors, 0u);
-  EXPECT_GT(on.express.launches, 100u);
-  EXPECT_GT(on.express.delivered, 100u);
-  EXPECT_EQ(off.express.launches, 0u);
+  const RunResult ref = CheckModes(RunSerialChaos, {Mode::kExpress}, {1}, kSerialChaosEngine);
+  EXPECT_NE(ref.injector_counters.find("fault.accel_crash=1"), std::string::npos);
 }
 
-// Undeploy of a tile on a corridor (issue checklist): vacating the service
-// tile mid-run revokes routes and identity but leaves the NoC state alone —
-// in-flight corridors to that tile keep their exact timing, and the whole
-// run matches --no-express byte for byte.
+// Vacating the service tile mid-stream must leave in-flight corridors to it
+// with their exact timing; the optimized run without express is the control.
 TEST(ExpressDifferentialTest, UndeployOnCorridorMatchesNoExpress) {
-  auto run = [](bool express) {
-    SerialResult r;
-    TestBoard tb;
-    tb.board.mesh().SetExpressEnabled(express);
-    AppId app = tb.os.CreateApp("undeploy");
-    ServiceId svc = 0;
-    const TileId st = tb.os.Deploy(app, std::make_unique<EchoAccelerator>(3), &svc);
-    auto* client = new PeriodicClient(svc, /*period=*/50, /*limit=*/1'000'000);
-    const TileId ct = tb.os.Deploy(app, std::unique_ptr<Accelerator>(client));
-    (void)tb.os.GrantSendToService(ct, svc);
-    // Stop mid-stream with requests in flight, vacate the service tile, and
-    // let the tail of the run drain whatever was on the wire.
-    tb.sim.Run(1'025);
-    EXPECT_TRUE(tb.os.Undeploy(st));
-    tb.sim.Run(5'000);
-    r.end_cycle = tb.sim.now();
-    r.skipped_cycles = tb.sim.skipped_cycles();
-    r.flits = tb.board.mesh().TotalFlitsRouted();
-    r.mesh_counters = tb.board.mesh().AggregateCounters().ToString();
-    r.latency = tb.board.mesh().AggregateLatency().Summary();
-    r.monitor_counters = tb.os.AggregateMonitorCounters().ToString();
-    r.client_ok = client->ok;
-    r.client_errors = client->errors;
-    r.express = tb.board.mesh().AggregateExpressStats();
-    return r;
-  };
-  const SerialResult on = run(true);
-  const SerialResult off = run(false);
-  EXPECT_TRUE(on == off) << on.mesh_counters << "\nvs\n" << off.mesh_counters;
-  EXPECT_GT(on.express.launches, 0u);
-  EXPECT_GT(on.client_ok, 0u);
+  const RunResult ref = CheckModes(RunMidCorridorUndeploy, {Mode::kOptimized, Mode::kExpress},
+                                   {1}, kMidCorridorUndeployEngine);
+  EXPECT_GT(ref.client_ok, 0u);
 }
 
 }  // namespace
-}  // namespace apiary
+}  // namespace apiary::differential

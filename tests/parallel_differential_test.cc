@@ -1,320 +1,19 @@
-// Differential determinism for the sharded parallel engine: a full
-// board+OS workload — kernel-mediated IPC spanning every shard cut, tenants
-// with enforced quotas and billing, and a supervisor-healed chaos campaign —
-// must produce BYTE-IDENTICAL traces, counters, fault records, and billing
-// digests for threads=1, 2, and 4 under a fixed 4-shard partition.
-//
-// threads=1 runs the exact same sharded schedule with no worker pool, so
-// any divergence at threads=2/4 is a synchronization bug, not a schedule
-// difference. Run under TSan in the sanitize CI job, this is also the
-// data-race proof for the whole engine.
+// Differential determinism for the sharded parallel engine: the 8x8 board
+// at threads 2 and 4, in reference and optimized modes, must match the
+// threads=1 reference run byte for byte. Run under TSan in CI, this is the
+// data-race proof for the parallel engine and its per-shard active sets.
+// Harness and workloads: tests/differential_harness.h.
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
-#include <vector>
+#include "tests/differential_harness.h"
 
-#include "src/accel/echo.h"
-#include "src/fault/fault_injector.h"
-#include "src/fault/fault_plan.h"
-#include "src/services/supervisor.h"
-#include "src/sim/logging.h"
-#include "src/sim/parallel/parallel_simulator.h"
-#include "src/tenant/tenant.h"
-#include "tests/test_util.h"
-
-namespace apiary {
+namespace apiary::differential {
 namespace {
 
-// Appends "<level> <line>\n" to the std::string passed as `user`. One
-// instance per simulation domain: the root domain and each shard capture
-// separate byte-exact traces, concatenated in a fixed order afterwards.
-void StringSink(LogLevel level, const std::string& line, void* user) {
-  auto* out = static_cast<std::string*>(user);
-  *out += std::to_string(static_cast<int>(level));
-  *out += ' ';
-  *out += line;
-  *out += '\n';
-}
-
-// Self-driving periodic echo client with a send budget. Every send
-// originates inside a shard-phase Tick, so packets and payload chunks are
-// born in the owning shard's pool/arena — nothing is seeded from the main
-// thread before the run.
-class PeriodicClient : public Accelerator {
- public:
-  PeriodicClient(ServiceId svc, Cycle period, uint64_t limit)
-      : svc_(svc), period_(period), limit_(limit) {}
-
-  void Tick(TileApi& api) override {
-    if (api.now() < next_ || sent >= limit_) {
-      return;
-    }
-    Message msg;
-    msg.opcode = kOpEcho;
-    msg.payload = {1, 2, 3, 4};
-    if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-      ++sent;
-    }
-    next_ = api.now() + period_;
-  }
-  void OnMessage(const Message& msg, TileApi&) override {
-    (msg.status == MsgStatus::kOk ? ok : errors) += 1;
-  }
-  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
-    if (sent >= limit_) {
-      return kNoActivity;  // Budget spent; only replies wake the tile.
-    }
-    return next_ > now ? next_ : now;
-  }
-  std::string name() const override { return "periodic_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent = 0;
-  uint64_t ok = 0;
-  uint64_t errors = 0;
-
- private:
-  ServiceId svc_;
-  Cycle period_;
-  uint64_t limit_;
-  Cycle next_ = 0;
-};
-
-struct DiffResult {
-  Cycle end_cycle = 0;
-  uint64_t skipped_cycles = 0;
-  uint64_t flits = 0;
-  uint64_t handed_off = 0;
-  uint64_t cloned = 0;
-  uint64_t client_sent = 0;
-  uint64_t client_ok = 0;
-  uint64_t client_errors = 0;
-  std::string mesh_counters;
-  std::string monitor_counters;
-  std::string injector_counters;
-  std::string fault_trace;
-  std::string supervisor_counters;
-  std::string tenant_counters;
-  std::string billing_a;
-  std::string billing_b;
-  uint32_t digest_a = 0;
-  uint32_t digest_b = 0;
-  std::string trace;  // Root trace + shard traces, in shard order.
-
-  bool operator==(const DiffResult& o) const {
-    return end_cycle == o.end_cycle && skipped_cycles == o.skipped_cycles && flits == o.flits &&
-           handed_off == o.handed_off && cloned == o.cloned && client_sent == o.client_sent &&
-           client_ok == o.client_ok && client_errors == o.client_errors &&
-           mesh_counters == o.mesh_counters && monitor_counters == o.monitor_counters &&
-           injector_counters == o.injector_counters && fault_trace == o.fault_trace &&
-           supervisor_counters == o.supervisor_counters && tenant_counters == o.tenant_counters &&
-           billing_a == o.billing_a && billing_b == o.billing_b && digest_a == o.digest_a &&
-           digest_b == o.digest_b && trace == o.trace;
-  }
-};
-
-// 8x8 board, 4 column-band shards (x in {0,1} | {2,3} | {4,5} | {6,7}).
-// Tile ids are row-major: tile = y*8 + x.
-DiffResult RunWorkload(uint32_t threads) {
-  constexpr uint32_t kShards = 4;
-  constexpr Cycle kCycles = 60'000;
-
-  TestBoardOptions options;
-  options.width = 8;
-  options.height = 8;
-  options.reconfig_cycles = 2'000;
-  options.tile_region_cells = 25'000;  // 64 tiles of 100k would not fit VU9P.
-  TestBoard tb(options);
-
-  std::string root_trace;
-  std::vector<std::string> shard_traces(kShards);
-  const LogLevel prev_level = GetLogLevel();
-  SetLogLevel(LogLevel::kDebug);
-  // Setup-time logs (deploys, grants — main thread, no domain installed yet)
-  // and root-phase logs both land in the root capture.
-  SetLogSink(StringSink, &root_trace);
-  tb.sim.context().SetLogSink(StringSink, &root_trace);
-
-  // --- Tenants: shard-aligned tile sets, so each tenant's shared NoC token
-  // bucket is only ever drawn by one shard's thread. ---
-  TenantManager tenants(&tb.os, /*meter_period=*/10'000);
-  TenantQuota quota;
-  quota.max_tiles = 4;
-  quota.noc_flits_per_1k = 4'000;
-  quota.noc_burst_flits = 256;
-  const TenantId tenant_a = tenants.CreateTenant("alpha", quota);
-  const TenantId tenant_b = tenants.CreateTenant("beta", quota);
-  const AppId app_a = tenants.CreateApp(tenant_a, "alpha_app");
-  const AppId app_b = tenants.CreateApp(tenant_b, "beta_app");
-
-  auto pin = [](TileId tile) {
-    DeployOptions o;
-    o.tile = tile;
-    return o;
-  };
-
-  // Tenant A lives in shard 0 (x in {0,1}); tenant B in shard 3 (x in {6,7}).
-  ServiceId svc_a = 0;
-  EXPECT_NE(tenants.Deploy(tenant_a, app_a, std::make_unique<EchoAccelerator>(5), &svc_a,
-                           pin(/*x=1,y=1*/ 9)),
-            kInvalidTile);
-  auto* client_a = new PeriodicClient(svc_a, /*period=*/120, /*limit=*/1'000'000);
-  const TileId ct_a = tenants.Deploy(tenant_a, app_a, std::unique_ptr<Accelerator>(client_a),
-                                     nullptr, pin(/*x=0,y=1*/ 8));
-  EXPECT_NE(ct_a, kInvalidTile);
-  (void)tenants.GrantSendToService(tenant_a, ct_a, svc_a);
-
-  ServiceId svc_b = 0;
-  EXPECT_NE(tenants.Deploy(tenant_b, app_b, std::make_unique<EchoAccelerator>(5), &svc_b,
-                           pin(/*x=6,y=6*/ 54)),
-            kInvalidTile);
-  auto* client_b = new PeriodicClient(svc_b, /*period=*/150, /*limit=*/1'000'000);
-  const TileId ct_b = tenants.Deploy(tenant_b, app_b, std::unique_ptr<Accelerator>(client_b),
-                                     nullptr, pin(/*x=7,y=6*/ 55));
-  EXPECT_NE(ct_b, kInvalidTile);
-  (void)tenants.GrantSendToService(tenant_b, ct_b, svc_b);
-
-  // --- Cross-shard IPC (plain app, per-tile limits only): every request and
-  // reply crosses one or three shard cuts. ---
-  const AppId app_x = tb.os.CreateApp("crossers");
-
-  ServiceId svc_far = 0;  // Client in shard 0 -> service in shard 3: three cuts.
-  EXPECT_NE(
-      tb.os.Deploy(app_x, std::make_unique<EchoAccelerator>(10), &svc_far, pin(/*x=7,y=3*/ 31)),
-      kInvalidTile);
-  auto* client_far = new PeriodicClient(svc_far, /*period=*/40, /*limit=*/1'000'000);
-  const TileId ct_far =
-      tb.os.Deploy(app_x, std::unique_ptr<Accelerator>(client_far), nullptr, pin(/*x=0,y=3*/ 24));
-  EXPECT_NE(ct_far, kInvalidTile);
-  (void)tb.os.GrantSendToService(ct_far, svc_far);
-
-  ServiceId svc_near = 0;  // Client in shard 1 -> service in shard 2: one cut.
-  const TileId crash_tile = /*x=4,y=5*/ 44;
-  EXPECT_NE(tb.os.Deploy(app_x, std::make_unique<EchoAccelerator>(10), &svc_near, pin(crash_tile)),
-            kInvalidTile);
-  auto* client_near = new PeriodicClient(svc_near, /*period=*/25, /*limit=*/1'000'000);
-  const TileId ct_near =
-      tb.os.Deploy(app_x, std::unique_ptr<Accelerator>(client_near), nullptr, pin(/*x=3,y=5*/ 43));
-  EXPECT_NE(ct_near, kInvalidTile);
-  (void)tb.os.GrantSendToService(ct_near, svc_near);
-
-  // Saturator: floods the x=1|2 and x=3|4 cuts early on, then goes quiet so
-  // the tail of the run exercises fast-forwarding under the sharded engine.
-  ServiceId svc_burst = 0;
-  EXPECT_NE(
-      tb.os.Deploy(app_x, std::make_unique<EchoAccelerator>(2), &svc_burst, pin(/*x=5,y=0*/ 5)),
-      kInvalidTile);
-  auto* burst = new PeriodicClient(svc_burst, /*period=*/2, /*limit=*/4'000);
-  const TileId ct_burst =
-      tb.os.Deploy(app_x, std::unique_ptr<Accelerator>(burst), nullptr, pin(/*x=2,y=0*/ 2));
-  EXPECT_NE(ct_burst, kInvalidTile);
-  (void)tb.os.GrantSendToService(ct_burst, svc_burst);
-
-  // --- Chaos: a supervisor-healed crash plus windows of link faults. ---
-  Supervisor sup(&tb.os);
-  sup.Manage(crash_tile, [] { return std::make_unique<EchoAccelerator>(10); });
-
-  FaultPlan plan;
-  plan.seed = 11;
-  plan.LinkDrop(8'000, 6'000, 0.2)
-      .LinkCorrupt(16'000, 6'000, 0.2)
-      .AccelCrash(25'000, crash_tile)
-      .DramBitFlips(30'000, 4)
-      .LinkDrop(35'000, 5'000, 0.25);
-  FaultInjector injector(plan, FaultHooks{.os = &tb.os,
-                                          .mesh = &tb.board.mesh(),
-                                          .memory = &tb.board.memory()});
-  // OnLinkTraverse runs inside shard phases, so the sharded engine needs one
-  // fault stream per tile — and with it, thread-count determinism.
-  injector.EnableShardedLinkFaults(tb.board.mesh().num_tiles());
-
-  // --- The engine under test. ---
-  ParallelSimulator psim(&tb.sim, &tb.board.mesh(), ParallelConfig{kShards, threads});
-  EXPECT_EQ(psim.shards(), kShards);
-  for (uint32_t s = 0; s < kShards; ++s) {
-    psim.shard_context(s)->SetLogSink(StringSink, &shard_traces[s]);
-  }
-
-  psim.Run(kCycles);
-
-  DiffResult r;
-  r.end_cycle = tb.sim.now();
-  r.skipped_cycles = tb.sim.skipped_cycles();
-  r.flits = tb.board.mesh().TotalFlitsRouted();
-  r.handed_off = tb.board.mesh().BoundaryFlitsHandedOff();
-  r.cloned = tb.board.mesh().BoundaryPacketsCloned();
-  r.client_sent =
-      client_a->sent + client_b->sent + client_far->sent + client_near->sent + burst->sent;
-  r.client_ok = client_a->ok + client_b->ok + client_far->ok + client_near->ok + burst->ok;
-  r.client_errors = client_a->errors + client_b->errors + client_far->errors +
-                    client_near->errors + burst->errors;
-  r.mesh_counters = tb.board.mesh().AggregateCounters().ToString();
-  r.monitor_counters = tb.os.AggregateMonitorCounters().ToString();
-  r.injector_counters = injector.counters().ToString();
-  r.fault_trace = injector.TraceString();
-  r.supervisor_counters = sup.counters().ToString();
-  r.tenant_counters = tenants.counters().ToString();
-  r.billing_a = tenants.BillingRecords(tenant_a);
-  r.billing_b = tenants.BillingRecords(tenant_b);
-  r.digest_a = tenants.BillingDigest(tenant_a);
-  r.digest_b = tenants.BillingDigest(tenant_b);
-  r.trace = root_trace;
-  for (const std::string& t : shard_traces) {
-    r.trace += t;
-  }
-
-  // Detach every sink before teardown: the capture strings die before the
-  // board (and before the mesh retires the shard contexts).
-  for (uint32_t s = 0; s < kShards; ++s) {
-    psim.shard_context(s)->SetLogSink(nullptr, nullptr);
-  }
-  tb.sim.context().SetLogSink(nullptr, nullptr);
-  SetLogSink(nullptr, nullptr);
-  SetLogLevel(prev_level);
-  return r;
-}
-
 TEST(ParallelDifferentialTest, FullWorkloadIsByteIdenticalAcrossThreadCounts) {
-  const DiffResult t1 = RunWorkload(1);
-
-  // The workload is real: traffic flowed on every path, faults landed, the
-  // supervisor healed the crash, billing was cut, and packets crossed cuts.
-  EXPECT_EQ(t1.end_cycle, 60'000u);
-  EXPECT_GT(t1.client_sent, 2'000u);
-  EXPECT_GT(t1.client_ok, 2'000u);
-  EXPECT_GT(t1.handed_off, 1'000u);
-  EXPECT_GT(t1.cloned, 0u);
-  EXPECT_NE(t1.injector_counters.find("fault.accel_crash=1"), std::string::npos);
-  EXPECT_NE(t1.injector_counters.find("fault.link_drops_applied"), std::string::npos);
-  EXPECT_NE(t1.supervisor_counters.find("supervisor"), std::string::npos);
-  EXPECT_GT(t1.digest_a, 0u);
-  EXPECT_GT(t1.digest_b, 0u);
-  EXPECT_FALSE(t1.billing_a.empty());
-  EXPECT_FALSE(t1.trace.empty());
-
-  const DiffResult t2 = RunWorkload(2);
-  const DiffResult t4 = RunWorkload(4);
-
-  // Field-by-field first (readable diffs on failure), then the full struct.
-  EXPECT_EQ(t2.end_cycle, t1.end_cycle);
-  EXPECT_EQ(t2.fault_trace, t1.fault_trace);
-  EXPECT_EQ(t2.mesh_counters, t1.mesh_counters);
-  EXPECT_EQ(t2.monitor_counters, t1.monitor_counters);
-  EXPECT_EQ(t2.billing_a, t1.billing_a);
-  EXPECT_EQ(t2.billing_b, t1.billing_b);
-  EXPECT_EQ(t2.trace, t1.trace);
-  EXPECT_TRUE(t2 == t1) << "threads=2 diverged from threads=1";
-
-  EXPECT_EQ(t4.end_cycle, t1.end_cycle);
-  EXPECT_EQ(t4.fault_trace, t1.fault_trace);
-  EXPECT_EQ(t4.mesh_counters, t1.mesh_counters);
-  EXPECT_EQ(t4.monitor_counters, t1.monitor_counters);
-  EXPECT_EQ(t4.billing_a, t1.billing_a);
-  EXPECT_EQ(t4.billing_b, t1.billing_b);
-  EXPECT_EQ(t4.trace, t1.trace);
-  EXPECT_TRUE(t4 == t1) << "threads=4 diverged from threads=1";
+  ExpectShardedBoardIsReal(CheckModes(RunShardedBoard, {Mode::kReference, Mode::kOptimized},
+                                      {2, 4}, kShardedBoardEngine));
 }
 
 }  // namespace
-}  // namespace apiary
+}  // namespace apiary::differential

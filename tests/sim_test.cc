@@ -1,8 +1,12 @@
 // Unit tests for the simulation kernel: RNG, event queue, simulator loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <set>
 #include <vector>
 
+#include "src/baseline/raw_queue.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
@@ -388,99 +392,225 @@ TEST(SimulatorTest, DoubleUnregisterIsHarmless) {
   EXPECT_EQ(b.ticks, 10);
 }
 
-// Records the order SkipAhead polls NextActivity, exposing the hot-block
-// fast-exit cache (src/sim/simulator.cc) to the tests below.
-class PollProbe : public Clocked {
+// Randomized skip oracle: timed probes re-arm themselves and feed parked
+// probes (through RequestWake) and boundary-poll probes (no wake, visible
+// from the next cycle on); events wake, poke, chain and unregister probes.
+// Every jump must land exactly on the brute-force minimum of every live
+// probe's NextActivity, the next pending event and the end of the run; no
+// executed cycle may be idle; and every probe must do its work on the same
+// cycles as in the reference mode.
+struct ProbeZoo;
+
+class ZooProbe : public Clocked {
  public:
-  PollProbe(std::vector<const PollProbe*>* log, bool active) : log_(log), active_(active) {}
+  enum class Kind { kTimed, kParked, kPolled };
+  ZooProbe(ProbeZoo* zoo, Kind kind, Cycle first) : zoo_(zoo), kind_(kind), next_(first) {}
 
-  void Tick(Cycle now) override { (void)now; }
+  void Tick(Cycle now) override;
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
-    log_->push_back(this);
-    return active_ ? now : kNoActivity;
+    switch (kind_) {
+      case Kind::kTimed:
+        return next_ > now ? next_ : now;
+      case Kind::kParked:
+        return pending_ ? now : kNoActivity;
+      case Kind::kPolled:
+        return ready_at_ > now ? ready_at_ : now;
+    }
+    return now;
   }
-  std::string DebugName() const override { return "poll_probe"; }
+  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
+    return kind_ == Kind::kPolled ? SchedPolicy::kBoundaryPoll : SchedPolicy::kActiveSet;
+  }
+  std::string DebugName() const override { return "zoo_probe"; }
 
-  void SetActive(bool active) { active_ = active; }
+  // Input from another block or an event: a parked probe is woken, a polled
+  // probe's input becomes visible at `ready` with no wake at all.
+  void Feed(Cycle ready) {
+    if (kind_ == Kind::kParked) {
+      pending_ = true;
+      RequestWake();
+    } else if (kind_ == Kind::kPolled) {
+      ready_at_ = std::min(ready_at_, ready);
+    }
+  }
+
+  bool removed = false;
+  std::vector<Cycle> work;
 
  private:
-  std::vector<const PollProbe*>* log_;
-  bool active_;
+  ProbeZoo* zoo_;
+  Kind kind_;
+  Cycle next_;  // kTimed: the next cycle with work.
+  bool pending_ = false;
+  Cycle ready_at_ = kNoActivity;
 };
 
-TEST(SimulatorTest, RemovingABlockBeforeTheHotBlockRemapsTheCache) {
-  // Regression: ApplyPendingRemovals compacts blocks_, which shifts the
-  // index the hot-block cache stored. Removing a block *before* the hot one
-  // used to leave a stale index that aliased whatever slid into that slot;
-  // the cache must follow its block instead.
-  std::vector<const PollProbe*> log;
+// Sees every jump (OnFastForward runs before the clock moves) and never
+// needs a tick itself.
+class JumpObserver : public Clocked {
+ public:
+  explicit JumpObserver(ProbeZoo* zoo) : zoo_(zoo) {}
+  void Tick(Cycle) override {}
+  [[nodiscard]] Cycle NextActivity(Cycle) const override { return kNoActivity; }
+  void OnFastForward(Cycle resume) override;
+  std::string DebugName() const override { return "jump_observer"; }
+
+ private:
+  ProbeZoo* zoo_;
+};
+
+struct ProbeZoo {
+  static constexpr Cycle kCycles = 40'000;
+
+  ProbeZoo(uint64_t seed, bool optimized) : rng(seed) {
+    sim.SetSkipEnabled(optimized);
+    for (int i = 0; i < 12; ++i) {
+      const auto kind = static_cast<ZooProbe::Kind>(i % 3);
+      probes.push_back(std::make_unique<ZooProbe>(this, kind, rng.NextBelow(500)));
+      sim.Register(probes.back().get());
+    }
+    sim.Register(&observer);
+    for (int i = 0; i < 60; ++i) {
+      ScheduleEvent(rng.NextBelow(kCycles));
+    }
+  }
+
+  ZooProbe& RandomProbe() { return *probes[rng.NextBelow(probes.size())]; }
+
+  void ScheduleEvent(Cycle when) {
+    pending_events.insert(when);
+    sim.ScheduleAt(when, [this](Cycle now) {
+      pending_events.erase(pending_events.find(now));
+      work_cycles.insert(now);
+      switch (rng.NextBelow(4)) {
+        case 0:
+          RandomProbe().Feed(now + 1 + rng.NextBelow(50));
+          break;
+        case 1:
+          ScheduleEvent(now + 1 + rng.NextBelow(2'000));
+          break;
+        case 2: {
+          ZooProbe& victim = RandomProbe();
+          if (!victim.removed && removals < 3) {
+            victim.removed = true;
+            ++removals;
+            sim.Unregister(&victim);
+          }
+          break;
+        }
+        default:
+          break;  // A bare event still bounds the skip.
+      }
+    });
+  }
+
+  void CheckJump(Cycle resume) {
+    Cycle expected = kCycles;  // The run's limit.
+    for (const auto& p : probes) {
+      if (!p->removed) {
+        expected = std::min(expected, p->NextActivity(sim.now()));
+      }
+    }
+    if (!pending_events.empty()) {
+      expected = std::min(expected, *pending_events.begin());
+    }
+    EXPECT_EQ(resume, expected) << "jump from " << sim.now();
+    ++jumps_checked;
+  }
+
   Simulator sim;
-  // The hot-block cache serves the tick-everything skip path; the active-set
-  // path's busy check is O(1) and never scans.
-  sim.SetActiveSetEnabled(false);
-  PollProbe a(&log, false);
-  PollProbe b(&log, false);
-  PollProbe c(&log, true);  // The busy block: becomes the hot cache entry.
-  PollProbe d(&log, false);
-  sim.Register(&a);
-  sim.Register(&b);
-  sim.Register(&c);
-  sim.Register(&d);
+  Rng rng;
+  std::vector<std::unique_ptr<ZooProbe>> probes;
+  JumpObserver observer{this};
+  std::multiset<Cycle> pending_events;
+  std::set<Cycle> work_cycles{0};  // Cycle 0 always executes.
+  int removals = 0;
+  uint64_t jumps_checked = 0;
+};
 
-  // Two-cycle runs throughout: SkipAhead only polls between cycles of a run
-  // (it early-outs once now reaches the run boundary).
-  sim.Run(2);  // SkipAhead scans a, b, then finds c active: hot = index 2.
-  log.clear();
-  sim.Run(2);
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.front(), &c);  // Fast exit polls the cached hot block first.
-
-  // The very next SkipAhead after the removal applies is the observable: a
-  // stale index (still 2) would poll d — the block that slid into c's old
-  // slot — before a scan self-heals the cache. The remapped cache polls c
-  // first, full stop.
-  sim.Unregister(&a);  // Compaction shifts c from index 2 to index 1.
-  log.clear();
-  sim.Run(2);  // Removal applies at the end of the first cycle's Step.
-  ASSERT_FALSE(log.empty());
-  EXPECT_EQ(log.front(), &c);
+void ZooProbe::Tick(Cycle now) {
+  if (NextActivity(now) > now) {
+    return;  // Quiescent: a no-op, as the reference mode's extra ticks must be.
+  }
+  work.push_back(now);
+  zoo_->work_cycles.insert(now);
+  switch (kind_) {
+    case Kind::kTimed:
+      next_ = now + 1 + zoo_->rng.NextBelow(400);
+      if (zoo_->rng.NextBool(0.6)) {
+        zoo_->RandomProbe().Feed(now + 1 + zoo_->rng.NextBelow(50));
+      }
+      break;
+    case Kind::kParked:
+      pending_ = false;
+      if (zoo_->rng.NextBool(0.3)) {
+        zoo_->RandomProbe().Feed(now + 1 + zoo_->rng.NextBelow(50));
+      }
+      break;
+    case Kind::kPolled:
+      ready_at_ = kNoActivity;
+      break;
+  }
 }
 
-TEST(SimulatorTest, RemovingTheHotBlockItselfResetsTheCache) {
-  std::vector<const PollProbe*> log;
-  Simulator sim;
-  sim.SetActiveSetEnabled(false);  // The cache only serves the legacy scan.
-  PollProbe a(&log, false);
-  PollProbe b(&log, false);
-  PollProbe c(&log, true);
-  sim.Register(&a);
-  sim.Register(&b);
-  sim.Register(&c);
+void JumpObserver::OnFastForward(Cycle resume) { zoo_->CheckJump(resume); }
 
-  sim.Run(2);  // hot = index 2 (c).
-  c.SetActive(false);
-  b.SetActive(true);
-  sim.Unregister(&c);
-  log.clear();
-  sim.Run(2);  // Removal applies at the end of the first cycle's Step.
-  // Removing the hot block bumps its slot's generation, which invalidates
-  // the cache: no fast-exit poll happens and the scan starts from a, finding
-  // b active. The failure mode guarded here is aliasing — a stale cache must
-  // never poll whatever block slid into c's old slot.
-  ASSERT_GE(log.size(), 2u);
-  EXPECT_EQ(log[0], &a);
-  EXPECT_EQ(log[1], &b);
+TEST(SimulatorSkipTest, EverySkipLandsOnTheBruteForceMinimum) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    ProbeZoo optimized(seed, /*optimized=*/true);
+    optimized.sim.Run(ProbeZoo::kCycles);
+    ProbeZoo reference(seed, /*optimized=*/false);
+    reference.sim.Run(ProbeZoo::kCycles);
+
+    EXPECT_GT(optimized.jumps_checked, 100u) << "seed " << seed;
+    EXPECT_EQ(optimized.jumps_checked, optimized.sim.skips()) << "seed " << seed;
+    EXPECT_EQ(reference.jumps_checked, 0u) << "seed " << seed;
+    // No missed skip: every executed cycle had work for a probe or an event.
+    EXPECT_EQ(optimized.sim.executed_cycles(), optimized.work_cycles.size()) << "seed " << seed;
+    EXPECT_EQ(optimized.removals, 3) << "seed " << seed;
+    for (size_t i = 0; i < optimized.probes.size(); ++i) {
+      EXPECT_EQ(optimized.probes[i]->work, reference.probes[i]->work)
+          << "seed " << seed << " probe " << i;
+    }
+    EXPECT_EQ(optimized.work_cycles, reference.work_cycles) << "seed " << seed;
+  }
+}
+
+TEST(SimulatorSkipTest, RawQueueReadyCycleIsAnActivityBoundary) {
+  // The RunUntil predicate polls Pop(), which gates on the entry's serialized
+  // available_at; in the optimized mode the queue's NextActivity must surface
+  // that exact cycle as a boundary.
+  auto run = [](bool optimized) {
+    Simulator sim;
+    sim.SetSkipEnabled(optimized);
+    RawQueue q(/*width_bytes=*/8, /*depth_entries=*/4);
+    sim.Register(&q);
+    EXPECT_TRUE(q.Push(PayloadBuf(64, 0xab), sim.now()));
+    PayloadBuf got;
+    EXPECT_TRUE(sim.RunUntil(
+        [&] {
+          auto popped = q.Pop(sim.now());
+          if (popped.has_value()) {
+            got = std::move(*popped);
+            return true;
+          }
+          return false;
+        },
+        1'000));
+    EXPECT_EQ(got.size(), 64u);
+    return sim.now();
+  };
+  EXPECT_EQ(run(true), run(false));
 }
 
 // Register/unregister churn regression: slot identities must stay stable
-// while other blocks come and go (the old engine re-resolved a raw index on
-// every removal, which aliased the hot-block cache), recycled slots must
-// never alias their previous tenant, and both engine modes must agree on
+// while other blocks come and go, recycled slots must never alias their
+// previous tenant, and the optimized and reference modes must agree on
 // every block's tick count.
 TEST(SimulatorTest, RegisterUnregisterChurnTicksExactlyTheRightBlocks) {
-  auto run = [](bool active_set) {
+  auto run = [](bool optimized) {
     Simulator sim;
-    sim.SetActiveSetEnabled(active_set);
+    sim.SetSkipEnabled(optimized);
     CountingBlock anchor;  // Always busy: pins the clock, no fast-forwards.
     sim.Register(&anchor);
 
@@ -509,11 +639,11 @@ TEST(SimulatorTest, RegisterUnregisterChurnTicksExactlyTheRightBlocks) {
     return final_ticks;
   };
 
-  const std::vector<int> with_sets = run(true);
-  const std::vector<int> legacy = run(false);
-  EXPECT_EQ(with_sets, legacy);
+  const std::vector<int> optimized = run(true);
+  const std::vector<int> reference = run(false);
+  EXPECT_EQ(optimized, reference);
   // The anchor saw every cycle: 40 rounds of 6 cycles each.
-  EXPECT_EQ(with_sets.back(), 240);
+  EXPECT_EQ(optimized.back(), 240);
 }
 
 // A parked block's slot is removed and immediately recycled by a new

@@ -1,252 +1,26 @@
-// Differential determinism: quiescence skipping (Clocked::NextActivity fast
-// forwarding, src/sim/simulator.cc) must be invisible to the simulation.
-// Each scenario here runs twice — skipping enabled vs the `--no-skip`
-// escape hatch (SetSkipEnabled(false)) — and every observable, down to the
-// byte-level debug trace, must match. The skip run must also actually skip,
-// so a regression that quietly disables fast-forwarding cannot pass.
+// Differential determinism for quiescence skipping: the optimized engine
+// (active set + fast-forward, the default) must be invisible on the serial
+// 4x4 workloads. Harness and workloads: tests/differential_harness.h.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
-#include "src/accel/echo.h"
-#include "src/baseline/raw_queue.h"
-#include "src/core/service_ids.h"
-#include "src/fault/fault_injector.h"
-#include "src/fault/fault_plan.h"
-#include "src/services/supervisor.h"
-#include "src/sim/logging.h"
-#include "tests/test_util.h"
+#include "tests/differential_harness.h"
 
-namespace apiary {
+namespace apiary::differential {
 namespace {
 
-// Captures every log line (down to kDebug) emitted while `body` runs.
-template <typename Body>
-std::string CaptureTrace(Body&& body) {
-  std::string trace;
-  SetLogSink(
-      [](LogLevel level, const std::string& line, void* user) {
-        auto* out = static_cast<std::string*>(user);
-        *out += std::to_string(static_cast<int>(level));
-        *out += ' ';
-        *out += line;
-        *out += '\n';
-      },
-      &trace);
-  const LogLevel prev = GetLogLevel();
-  SetLogLevel(LogLevel::kDebug);
-  body();
-  SetLogLevel(prev);
-  SetLogSink(nullptr, nullptr);
-  return trace;
-}
-
-// Sends one echo request every `period` cycles and sleeps in between — the
-// quiescence-aware traffic shape skipping is built for. Responses arrive as
-// messages, which wake the tile through the monitor's deliverable queue.
-class QuietPeriodicClient : public Accelerator {
- public:
-  QuietPeriodicClient(ServiceId svc, Cycle period) : svc_(svc), period_(period) {}
-
-  void Tick(TileApi& api) override {
-    if (api.now() < next_) {
-      return;
-    }
-    Message msg;
-    msg.opcode = kOpEcho;
-    msg.payload = {1, 2, 3, 4};
-    if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-      ++sent;
-    }
-    next_ = api.now() + period_;
-  }
-  void OnMessage(const Message& msg, TileApi&) override {
-    (msg.status == MsgStatus::kOk ? ok : errors) += 1;
-  }
-  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
-    return next_ > now ? next_ : now;
-  }
-  std::string name() const override { return "quiet_periodic_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent = 0;
-  uint64_t ok = 0;
-  uint64_t errors = 0;
-
- private:
-  ServiceId svc_;
-  Cycle period_;
-  Cycle next_ = 0;
-};
-
-struct IpcResult {
-  Cycle end_cycle = 0;
-  uint64_t sent = 0;
-  uint64_t ok = 0;
-  uint64_t flits = 0;
-  uint64_t p50 = 0;
-  uint64_t p99 = 0;
-  std::string monitor_counters;
-  uint64_t skipped_cycles = 0;
-  std::string trace;
-};
-
-// E3-shaped IPC scenario: kernel-mediated echo round trips over the NoC with
-// long idle valleys between requests.
-IpcResult RunIpcScenario(bool skip) {
-  IpcResult r;
-  r.trace = CaptureTrace([&] {
-    TestBoard tb;
-    tb.sim.SetSkipEnabled(skip);
-    AppId app = tb.os.CreateApp("ipc");
-    ServiceId svc = 0;
-    auto* echo = new EchoAccelerator(/*service_cycles=*/20);
-    tb.os.Deploy(app, std::unique_ptr<Accelerator>(echo), &svc);
-    auto* client = new QuietPeriodicClient(svc, /*period=*/1'000);
-    const TileId ct = tb.os.Deploy(app, std::unique_ptr<Accelerator>(client));
-    (void)tb.os.GrantSendToService(ct, svc);
-
-    tb.sim.Run(200'000);
-
-    r.end_cycle = tb.sim.now();
-    r.sent = client->sent;
-    r.ok = client->ok;
-    r.flits = tb.board.mesh().TotalFlitsRouted();
-    r.monitor_counters = tb.os.AggregateMonitorCounters().ToString();
-    r.skipped_cycles = tb.sim.skipped_cycles();
-  });
-  return r;
-}
-
 TEST(SkipDifferentialTest, IpcScenarioMatchesNoSkipByteForByte) {
-  const IpcResult skip = RunIpcScenario(true);
-  const IpcResult base = RunIpcScenario(false);
-  EXPECT_EQ(skip.end_cycle, base.end_cycle);
-  EXPECT_EQ(skip.sent, base.sent);
-  EXPECT_EQ(skip.ok, base.ok);
-  EXPECT_EQ(skip.flits, base.flits);
-  EXPECT_EQ(skip.monitor_counters, base.monitor_counters);
-  EXPECT_EQ(skip.trace, base.trace);
-  // The scenario must be real on both sides: traffic flowed, and the skip
-  // run actually fast-forwarded while the escape hatch did not.
-  EXPECT_GT(base.sent, 100u);
-  EXPECT_GT(skip.ok, 100u);
-  EXPECT_GT(skip.skipped_cycles, 100'000u);
-  EXPECT_EQ(base.skipped_cycles, 0u);
-}
-
-struct ChaosResult {
-  Cycle end_cycle = 0;
-  std::string fault_trace;
-  std::string injector_counters;
-  std::string supervisor_counters;
-  std::string monitor_counters;
-  uint64_t flits = 0;
-  uint64_t client_ok = 0;
-  uint64_t client_errors = 0;
-  uint64_t skipped_cycles = 0;
-  std::string trace;
-};
-
-// A9-shaped chaos scenario: a seeded fault campaign (link drops/corruption,
-// DRAM upsets, an accelerator crash healed by the supervisor) over periodic
-// traffic. Fault windows and plan events bound fast-forwarding (see
-// FaultInjector::NextActivity), so every injected fault must land on the
-// same cycle with skipping on or off.
-ChaosResult RunChaosScenario(bool skip) {
-  ChaosResult r;
-  r.trace = CaptureTrace([&] {
-    TestBoardOptions options;
-    options.reconfig_cycles = 20'000;
-    TestBoard tb(options);
-    tb.sim.SetSkipEnabled(skip);
-
-    AppId app = tb.os.CreateApp("chaos");
-    ServiceId svc = 0;
-    const TileId st = tb.os.Deploy(app, std::make_unique<EchoAccelerator>(5), &svc);
-    auto* client = new QuietPeriodicClient(svc, 200);
-    const TileId ct = tb.os.Deploy(app, std::unique_ptr<Accelerator>(client));
-    (void)tb.os.GrantSendToService(ct, svc);
-
-    Supervisor sup(&tb.os);
-    sup.Manage(st, [] { return std::make_unique<EchoAccelerator>(5); });
-
-    FaultPlan plan;
-    plan.seed = 9;
-    plan.LinkDrop(10'000, 15'000, 0.3)
-        .LinkCorrupt(30'000, 15'000, 0.25)
-        .DramBitFlips(40'000, 4)
-        .AccelCrash(50'000, st)
-        .LinkDrop(90'000, 10'000, 0.3)
-        .DramBitFlips(100'000, 4);
-    FaultInjector injector(plan, FaultHooks{.os = &tb.os,
-                                            .mesh = &tb.board.mesh(),
-                                            .memory = &tb.board.memory()});
-
-    tb.sim.Run(150'000);
-
-    r.end_cycle = tb.sim.now();
-    r.fault_trace = injector.TraceString();
-    r.injector_counters = injector.counters().ToString();
-    r.supervisor_counters = sup.counters().ToString();
-    r.monitor_counters = tb.os.AggregateMonitorCounters().ToString();
-    r.flits = tb.board.mesh().TotalFlitsRouted();
-    r.client_ok = client->ok;
-    r.client_errors = client->errors;
-    r.skipped_cycles = tb.sim.skipped_cycles();
-  });
-  return r;
+  const RunResult ref = CheckModes(RunSerialIpc, {Mode::kOptimized}, {1}, kSerialIpcEngine);
+  EXPECT_GT(ref.client_sent, 100u);
+  EXPECT_GT(ref.client_ok, 100u);
 }
 
 TEST(SkipDifferentialTest, ChaosScenarioMatchesNoSkipByteForByte) {
-  const ChaosResult skip = RunChaosScenario(true);
-  const ChaosResult base = RunChaosScenario(false);
-  EXPECT_EQ(skip.end_cycle, base.end_cycle);
-  EXPECT_EQ(skip.fault_trace, base.fault_trace);
-  EXPECT_EQ(skip.injector_counters, base.injector_counters);
-  EXPECT_EQ(skip.supervisor_counters, base.supervisor_counters);
-  EXPECT_EQ(skip.monitor_counters, base.monitor_counters);
-  EXPECT_EQ(skip.flits, base.flits);
-  EXPECT_EQ(skip.client_ok, base.client_ok);
-  EXPECT_EQ(skip.client_errors, base.client_errors);
-  EXPECT_EQ(skip.trace, base.trace);
-  // The campaign did damage, the supervisor healed it, and the skip run
-  // actually fast-forwarded somewhere between the fault windows.
-  EXPECT_NE(skip.injector_counters.find("fault.accel_crash=1"), std::string::npos);
-  EXPECT_GT(skip.client_ok + skip.client_errors, 0u);
-  EXPECT_GT(skip.skipped_cycles, 0u);
-  EXPECT_EQ(base.skipped_cycles, 0u);
-}
-
-TEST(SkipDifferentialTest, RawQueueReadyCycleIsAnActivityBoundary) {
-  // The RunUntil predicate polls Pop(), which gates on the entry's serialized
-  // available_at; with skipping the queue's NextActivity must surface that
-  // exact cycle as a boundary.
-  auto run = [](bool skip) {
-    Simulator sim;
-    sim.SetSkipEnabled(skip);
-    RawQueue q(/*width_bytes=*/8, /*depth_entries=*/4);
-    sim.Register(&q);
-    EXPECT_TRUE(q.Push(PayloadBuf(64, 0xab), sim.now()));
-    PayloadBuf got;
-    EXPECT_TRUE(sim.RunUntil(
-        [&] {
-          auto popped = q.Pop(sim.now());
-          if (popped.has_value()) {
-            got = std::move(*popped);
-            return true;
-          }
-          return false;
-        },
-        1'000));
-    EXPECT_EQ(got.size(), 64u);
-    return sim.now();
-  };
-  const Cycle with_skip = run(true);
-  const Cycle without = run(false);
-  EXPECT_EQ(with_skip, without);
+  const RunResult ref = CheckModes(RunSerialChaos, {Mode::kOptimized}, {1}, kSerialChaosEngine);
+  EXPECT_NE(ref.injector_counters.find("fault.accel_crash=1"), std::string::npos);
+  EXPECT_GT(ref.client_ok + ref.client_errors, 0u);
 }
 
 }  // namespace
-}  // namespace apiary
+}  // namespace apiary::differential
