@@ -1,21 +1,18 @@
-// CRC32 checksum accelerator (and the pure function behind it). A small,
-// common utility block — the kind of third-party tile the paper's
-// composition story wants to make cheap to reuse.
+// CRC32 checksum accelerator (the pure function behind it, Crc32, lives in
+// src/sim/crc32.h). A small, common utility block — the kind of third-party
+// tile the paper's composition story wants to make cheap to reuse.
 #ifndef SRC_ACCEL_CHECKSUM_H_
 #define SRC_ACCEL_CHECKSUM_H_
 
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <vector>
 
 #include "src/accel/accel_opcodes.h"
 #include "src/core/accelerator.h"
+#include "src/sim/crc32.h"
 
 namespace apiary {
-
-// CRC-32 (IEEE 802.3, reflected, init/xorout 0xffffffff).
-uint32_t Crc32(std::span<const uint8_t> data);
 
 class ChecksumAccelerator : public Accelerator {
  public:

@@ -3,10 +3,9 @@
 #ifndef SRC_ACCEL_ECHO_H_
 #define SRC_ACCEL_ECHO_H_
 
-#include <deque>
-
 #include "src/accel/accel_opcodes.h"
 #include "src/core/accelerator.h"
+#include "src/sim/ring_buffer.h"
 
 namespace apiary {
 
@@ -21,7 +20,7 @@ class EchoAccelerator : public Accelerator {
     // Serial engine: back-to-back requests queue behind each other.
     const Cycle start = engine_free_at_ > api.now() ? engine_free_at_ : api.now();
     engine_free_at_ = start + service_cycles_;
-    pending_.push_back(Pending{msg, engine_free_at_});
+    pending_.emplace_back(msg, engine_free_at_);
   }
 
   void Tick(TileApi& api) override {
@@ -61,7 +60,8 @@ class EchoAccelerator : public Accelerator {
   };
   Cycle service_cycles_;
   Cycle engine_free_at_ = 0;
-  std::deque<Pending> pending_;
+  // Growing ring: steady-state request churn never touches the heap.
+  RingBuffer<Pending> pending_;
   uint64_t served_ = 0;
 };
 

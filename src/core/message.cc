@@ -199,22 +199,17 @@ bool MessageLegacyAllocMode() { return g_legacy_alloc_mode; }
 void SerializeMessageInto(Message&& msg, NocPacket& packet) {
   if (g_legacy_alloc_mode) {
     // Ablation path: materialize the contiguous wire copy (heap vector +
-    // full payload memcpy) and hash it in a second pass, like the pre-pool
-    // implementation did.
+    // full payload memcpy), like the pre-pool implementation did.
     const std::vector<uint8_t> wire = SerializeMessage(msg);
     packet.head_len = static_cast<uint16_t>(kMessageHeaderBytes);
     std::memcpy(packet.head.data(), wire.data(), kMessageHeaderBytes);
     packet.payload.assign(wire.data() + kMessageHeaderBytes,
                           wire.size() - kMessageHeaderBytes);
-    packet.checksum = PacketChecksum(wire);
     return;
   }
   packet.head_len = static_cast<uint16_t>(kMessageHeaderBytes);
   WriteHeader(msg, packet.head.data());
   packet.payload = std::move(msg.payload);
-  // Checksum folded into the serialize pass: head region then payload,
-  // byte-identical to hashing the contiguous copy.
-  packet.checksum = PacketWireChecksum(packet);
 }
 
 std::optional<Message> DeserializeMessage(NocPacket& packet) {

@@ -90,9 +90,9 @@ struct Message {
 inline constexpr size_t kMessageHeaderBytes =
     4 + 1 + 2 + 1 + 8 + 4 + 4 + 4 + 4 + 2 * (8 + 8 + 1) + 4;
 
-// Move-through wire encoding: writes the header into packet.head, moves
-// msg.payload into packet.payload (no copy), and stamps packet.checksum in
-// the same pass. `msg` is consumed.
+// Move-through wire encoding: writes the header into packet.head and moves
+// msg.payload into packet.payload (no copy). `msg` is consumed. The wire
+// checksum is stamped later, by NetworkInterface::Inject.
 void SerializeMessageInto(Message&& msg, NocPacket& packet);
 
 // Move-through decode: parses packet.head and moves packet.payload out into
@@ -106,8 +106,8 @@ std::vector<uint8_t> SerializeMessage(const Message& msg);
 std::optional<Message> DeserializeMessage(const std::vector<uint8_t>& bytes);
 
 // Ablation hook for bench/b2_hot_path: routes Serialize/DeserializeMessage
-// through the contiguous copy path (one heap vector + full memcpy + second
-// checksum pass per message each way), reproducing the pre-pool cost shape.
+// through the contiguous copy path (one heap vector + full memcpy per
+// message each way), reproducing the pre-pool cost shape.
 void SetMessageLegacyAllocMode(bool legacy);
 bool MessageLegacyAllocMode();
 

@@ -43,8 +43,8 @@ void Monitor::FailStop(const std::string& reason) {
   counters_.Add(drained_inbox_id_, inbox_.size());
   counters_.Add(drained_outbox_id_, outbox_.size());
   outbox_.clear();
-  for (const Message& msg : inbox_) {
-    BounceWithError(msg, MsgStatus::kDestFailed);
+  for (uint32_t i = 0; i < inbox_.size(); ++i) {
+    BounceWithError(inbox_[i], MsgStatus::kDestFailed);
   }
   inbox_.clear();
   Trace(TraceEvent::kFault, kInvalidTile, service_, 0, MsgStatus::kDestFailed);
@@ -312,9 +312,7 @@ std::optional<Message> Monitor::Receive() {
   if (fault_state_ != TileFaultState::kHealthy || inbox_.empty()) {
     return std::nullopt;
   }
-  Message msg = std::move(inbox_.front());
-  inbox_.pop_front();
-  return msg;
+  return inbox_.take_front();
 }
 
 }  // namespace apiary

@@ -13,7 +13,6 @@
 #ifndef SRC_CORE_MONITOR_H_
 #define SRC_CORE_MONITOR_H_
 
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -25,6 +24,7 @@
 #include "src/noc/network_interface.h"
 #include "src/noc/rate_limiter.h"
 #include "src/sim/clocked.h"
+#include "src/sim/ring_buffer.h"
 #include "src/stats/histogram.h"
 #include "src/stats/summary.h"
 
@@ -174,13 +174,17 @@ class Monitor : public TileApi {
   bool accelerator_faulted_ = false;
   WakeHint owner_wake_;
 
-  std::deque<Message> inbox_;
+  // Message FIFOs, bounded by config_ (inbox_messages / outbox_messages) at
+  // their push sites. Growing rings: their slots reach the high-water
+  // occupancy and are then reused, so steady-state traffic never touches
+  // the heap.
+  RingBuffer<Message> inbox_;
   struct Outbound {
     Cycle ready_at;
     TileId dst_tile;
     Message msg;
   };
-  std::deque<Outbound> outbox_;
+  RingBuffer<Outbound> outbox_;
 
   uint64_t next_auto_request_id_ = 1;
   CounterSet counters_;

@@ -50,10 +50,9 @@ bool NetworkInterface::Inject(PacketRef packet, Cycle now) {
     return false;
   }
   packet->inject_cycle = now;
-  if (packet->checksum == 0) {
-    // Hand-built packet (no serializer stamp): checksum the wire image now.
-    packet->checksum = PacketWireChecksum(*packet);
-  }
+  // The one stamping site: every packet, serialized or hand-built, is
+  // checksummed here, so every value (0 included) is verified at eject.
+  packet->checksum = PacketWireChecksum(*packet);
   auto& queue = inject_queues_[static_cast<int>(packet->vc)];
   for (uint32_t i = 0; i + 1 < flits; ++i) {
     queue.push_back(Flit{packet, i});
@@ -102,8 +101,7 @@ void NetworkInterface::EjectFlit(const Flit& flit, Cycle now) {
     counters_.Add(packets_dropped_fault_id_);
     return;
   }
-  if (flit.packet->checksum != 0 &&
-      flit.packet->checksum != PacketWireChecksum(*flit.packet)) {
+  if (flit.packet->checksum != PacketWireChecksum(*flit.packet)) {
     // Corruption is detected here, never silently consumed: the packet is
     // discarded and the loss surfaces as a counter (and, one layer up, as a
     // request timeout rather than a garbled message).
@@ -121,9 +119,7 @@ PacketRef NetworkInterface::Retrieve() {
   if (delivered_.empty()) {
     return PacketRef();
   }
-  PacketRef packet = std::move(delivered_.front());
-  delivered_.pop_front();
-  return packet;
+  return delivered_.take_front();
 }
 
 }  // namespace apiary

@@ -7,7 +7,6 @@
 #define SRC_NOC_NETWORK_INTERFACE_H_
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "src/noc/packet.h"
@@ -126,7 +125,9 @@ class NetworkInterface {
   std::vector<uint32_t>* live_out_ = nullptr;
   bool live_marked_ = false;
   WakeHint sink_wake_;
-  std::deque<PacketRef> delivered_;
+  // Reassembled packets awaiting Retrieve: a growing ring, so steady-state
+  // delivery never touches the heap.
+  RingBuffer<PacketRef> delivered_;
   CounterSet counters_;
   // Counter slots, interned once so every bump is an array add.
   const CounterId checksum_drops_id_ = counters_.Intern("ni.checksum_drops");

@@ -22,8 +22,8 @@
 #include <cstdint>
 #include <cstring>
 #include <utility>
-#include <vector>
 
+#include "src/sim/crc32.h"
 #include "src/sim/payload_buf.h"
 #include "src/sim/types.h"
 
@@ -68,11 +68,11 @@ struct NocPacket {
   uint16_t head_len = 0;
   std::array<uint8_t, kPacketHeadBytes> head{};
   PayloadBuf payload;
-  // End-to-end wire checksum, stamped at serialization (or by the injecting
-  // NI for hand-built packets). The ejecting NI recomputes it so link-level
+  // End-to-end wire checksum (PacketWireChecksum), stamped by the injecting
+  // NI for every packet. The ejecting NI recomputes it so link-level
   // corruption is *detected* (and the packet discarded) instead of a garbled
-  // message being silently consumed.
-  uint32_t checksum = 0;  // 0 = unstamped (hand-built packets skip the check).
+  // message being silently consumed. Every value, 0 included, is checked.
+  uint32_t checksum = 0;
   // Flit count cached at injection so the per-hop is_tail() test is one
   // compare instead of a division through a pointer chase; the ejecting NI
   // asserts it still matches the wire size.
@@ -157,33 +157,12 @@ class PacketRef {
   NocPacket* packet_ = nullptr;
 };
 
-// FNV-1a running update; cheap stand-in for a per-packet CRC. Exposed so
-// the serializer can fold the head region and payload into one logical pass
-// without materializing a contiguous wire copy.
-inline uint32_t ChecksumUpdate(uint32_t h, const uint8_t* bytes, size_t len) {
-  for (size_t i = 0; i < len; ++i) {
-    h = (h ^ bytes[i]) * 16777619u;
-  }
-  return h;
-}
-
-inline constexpr uint32_t kChecksumSeed = 2166136261u;
-
-inline uint32_t PacketChecksum(const uint8_t* bytes, size_t len) {
-  return ChecksumUpdate(kChecksumSeed, bytes, len);
-}
-
-// Thin overload for tests and cold callers that still hold vectors.
-// NOLINTNEXTLINE(apiary-hot-path): cold-caller convenience overload, never on the executed-cycle path
-inline uint32_t PacketChecksum(const std::vector<uint8_t>& payload) {
-  return PacketChecksum(payload.data(), payload.size());
-}
-
-// Checksum over a packet's full wire image (head region, then payload —
-// byte-identical to hashing the old contiguous serialization).
+// End-to-end wire checksum: CRC-32C over the packet's wire image, head
+// region then payload, folded in one streaming pass (byte-identical to the
+// CRC of the contiguous serialization).
 inline uint32_t PacketWireChecksum(const NocPacket& packet) {
-  const uint32_t h = ChecksumUpdate(kChecksumSeed, packet.head.data(), packet.head_len);
-  return ChecksumUpdate(h, packet.payload.data(), packet.payload.size());
+  const uint32_t state = Crc32cUpdate(kCrc32cInit, packet.head.data(), packet.head_len);
+  return Crc32cFinalize(Crc32cUpdate(state, packet.payload.data(), packet.payload.size()));
 }
 
 // Number of flits a packet occupies on the wire: one head flit plus the

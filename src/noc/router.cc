@@ -11,12 +11,9 @@ Router::Router(uint32_t x, uint32_t y, uint32_t mesh_width, uint32_t mesh_height
                uint32_t buffer_depth)
     : x_(x), y_(y), mesh_width_(mesh_width), buffer_depth_(buffer_depth),
       route_(mesh_width * mesh_height) {
-  // flits + staged together never exceed buffer_depth (FreeSlots counts
-  // both), but either side alone may briefly hold the full depth.
   for (auto& port_bufs : inputs_) {
     for (auto& buf : port_bufs) {
-      buf.flits.Init(buffer_depth_);
-      buf.staged.Init(buffer_depth_);
+      buf.ring.Init(buffer_depth_);
     }
   }
   // XY dimension-order routing: X first, then Y.
@@ -72,11 +69,17 @@ void Router::ExpressCatchUp(RouterPort out, RouterPort in, int vc, uint32_t depa
       departed < flits ? static_cast<int>(in) : -1;
 }
 
-void Router::RequestHead(int in, int vc) {
-  const RingBuffer<Flit>& flits = inputs_[in][vc].flits;
-  if (!flits.empty() && static_cast<int>(flits.front().vc()) == vc) {
-    requests_[RoutePort(flits.front().dst())] |= RequestBit(in, vc);
+bool Router::RequestMasksExact() const {
+  std::array<uint32_t, kNumPorts> rebuilt{};
+  for (int in = 0; in < kNumPorts; ++in) {
+    for (int vc = 0; vc < kNumVcs; ++vc) {
+      const InputBuffer& buf = inputs_[in][vc];
+      if (buf.committed != 0) {
+        rebuilt[RoutePort(buf.ring.front().dst())] |= RequestBit(in, vc);
+      }
+    }
   }
+  return rebuilt == requests_;
 }
 
 uint32_t Router::RequestingInputs(int out, int vc) const {
@@ -86,17 +89,14 @@ uint32_t Router::RequestingInputs(int out, int vc) const {
   return ((inputs >> rr) | (inputs << (kNumPorts - rr))) & kMask;
 }
 
-uint32_t Router::FreeSlots(RouterPort in_port, Vc vc) const {
-  const InputBuffer& buf = inputs_[in_port][static_cast<int>(vc)];
-  const uint32_t used = static_cast<uint32_t>(buf.flits.size() + buf.staged.size());
-  return used >= buffer_depth_ ? 0 : buffer_depth_ - used;
-}
-
 bool Router::AcceptFlit(RouterPort in_port, const Flit& flit) {
-  if (FreeSlots(in_port, flit.vc()) == 0) {
+  const int vc = static_cast<int>(flit.vc());
+  RingBuffer<Flit>& ring = inputs_[in_port][vc].ring;
+  if (ring.full()) {
     return false;
   }
-  inputs_[in_port][static_cast<int>(flit.vc())].staged.push_back(flit);
+  ring.push_back(flit);
+  staged_ |= RequestBit(in_port, vc);
   ++occupancy_;
   // Idle-to-busy transition: publish this router into the mesh's live set.
   if (!live_marked_ && live_out_ != nullptr) {
@@ -107,11 +107,15 @@ bool Router::AcceptFlit(RouterPort in_port, const Flit& flit) {
 }
 
 void Router::CommitStaged() {
-  for (auto& port_bufs : inputs_) {
-    for (auto& buf : port_bufs) {
-      while (!buf.staged.empty()) {
-        buf.flits.push_back(buf.staged.take_front());
-      }
+  for (; staged_ != 0; staged_ &= staged_ - 1) {
+    const int bit = std::countr_zero(staged_);
+    const int in = bit % kNumPorts;
+    const int vc = bit / kNumPorts;
+    InputBuffer& buf = inputs_[in][vc];
+    const bool was_empty = buf.committed == 0;
+    buf.committed = buf.ring.size();
+    if (was_empty) {
+      RequestHead(in, vc);  // Its first visible flit: the buffer starts requesting.
     }
   }
 }
@@ -158,7 +162,7 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
     return false;  // Empty buffer, or its head flit routes elsewhere.
   }
   InputBuffer& buf = inputs_[in][vc];
-  const Flit& flit = buf.flits.front();
+  const Flit& flit = buf.ring.front();
   if (!DownstreamHasSpace(out, flit.vc())) {
     counters_.Add(stalls_id_);
     return false;
@@ -188,10 +192,13 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
   if (flit.is_tail()) {
     state.owner_port = -1;
   }
-  buf.flits.pop_front();
-  // The next head requests its own output; a later one may still take it.
+  buf.ring.pop_front();
+  // The next committed head requests its own output; a later one may still
+  // take it this cycle.
   requests_[out] &= ~bit;
-  RequestHead(in, vc);
+  if (--buf.committed != 0) {
+    RequestHead(in, vc);
+  }
   --occupancy_;
   ++flits_routed_;
   // Boundary-fed input buffer: report the freed slot to the upstream shard
@@ -215,7 +222,7 @@ bool Router::AcquireWeighted(RouterPort out, int vc, Cycle now) {
   bool stalled = false;
   for (uint32_t rot = RequestingInputs(out, vc); rot != 0; rot &= rot - 1) {
     const int in = (rr_input_[out] + std::countr_zero(rot)) % kNumPorts;
-    const Flit& flit = inputs_[in][vc].flits.front();
+    const Flit& flit = inputs_[in][vc].ring.front();
     if (!flit.is_head()) {
       continue;
     }
@@ -275,10 +282,6 @@ void Router::RouteCycle(Cycle now) {
   if (fault_model_ != nullptr && fault_model_->RouterStalled(tile(), now)) {
     counters_.Add(fault_stalled_id_);
     return;  // Wedged crossbar: buffers fill, upstream backpressure builds.
-  }
-  requests_.fill(0);
-  for (int i = 0; i < kNumPorts * kNumVcs; ++i) {
-    RequestHead(i % kNumPorts, i / kNumPorts);
   }
   // One flit per output port per cycle (the physical link constraint).
   // VC-level round robin, then input-port round robin within a vc. When

@@ -73,7 +73,13 @@ class Router {
   bool AcceptFlit(RouterPort in_port, const Flit& flit);
 
   // Free slots in input buffer (port, vc), counting staged flits.
-  uint32_t FreeSlots(RouterPort in_port, Vc vc) const;
+  uint32_t FreeSlots(RouterPort in_port, Vc vc) const {
+    return buffer_depth_ - inputs_[in_port][static_cast<int>(vc)].ring.size();
+  }
+
+  // Audit for tests: true when the maintained per-output request masks
+  // equal a from-scratch rebuild over the committed head flits.
+  bool RequestMasksExact() const;
 
   uint32_t x() const { return x_; }
   uint32_t y() const { return y_; }
@@ -111,12 +117,15 @@ class Router {
   void ExpressCatchUp(RouterPort out, RouterPort in, int vc, uint32_t departed,
                       uint32_t flits);
 
-  // Fixed-capacity rings (buffer_depth each, sized once at construction):
-  // the input buffer models a hardware FIFO, so its bound is architectural
-  // and per-flit queue churn must not touch the heap.
+  // One fixed-capacity ring per input VC (buffer_depth, sized once at
+  // construction): the input buffer models a hardware FIFO, so its bound is
+  // architectural and per-flit queue churn must not touch the heap. The
+  // first `committed` flits are visible to arbitration; the rest arrived
+  // this cycle (staged) and become visible at the next CommitStaged, which
+  // only moves the watermark — a flit is written once, on arrival.
   struct InputBuffer {
-    RingBuffer<Flit> flits;
-    RingBuffer<Flit> staged;
+    RingBuffer<Flit> ring;
+    uint32_t committed = 0;
   };
   struct OutputVcState {
     // Wormhole ownership: the (input port, vc) whose packet currently holds
@@ -127,10 +136,14 @@ class Router {
   // XY dimension-order output port for a destination tile (table lookup).
   RouterPort RoutePort(TileId dst) const { return static_cast<RouterPort>(route_[dst]); }
 
-  // Request bit of input buffer (in, vc) within an output's request mask.
+  // Request bit of input buffer (in, vc) within an output's request mask
+  // (also its bit in staged_).
   static uint32_t RequestBit(int in, int vc) { return 1u << (vc * kNumPorts + in); }
-  // Sets buffer (in, vc)'s bit on the output its head flit routes to, if any.
-  void RequestHead(int in, int vc);
+  // Sets buffer (in, vc)'s bit on the output its committed head flit routes
+  // to. The buffer must hold a committed flit.
+  void RequestHead(int in, int vc) {
+    requests_[RoutePort(inputs_[in][vc].ring.front().dst())] |= RequestBit(in, vc);
+  }
   // The inputs requesting (out, vc), rotated so bit i is input
   // (rr_input_[out] + i) % kNumPorts: low-to-high is round-robin order.
   uint32_t RequestingInputs(int out, int vc) const;
@@ -170,9 +183,14 @@ class Router {
   std::array<int, kNumPorts> rr_vc_{};
   // Destination tile -> XY output port; packets only address on-mesh tiles.
   std::vector<uint8_t> route_;
-  // Per output port, the input buffers whose head flit routes to it (see
-  // RequestBit); rebuilt each RouteCycle and kept exact across pops.
+  // Per output port, the input buffers whose committed head flit routes to
+  // it (see RequestBit). Maintained, never rebuilt: a buffer's bit is set
+  // when CommitStaged makes its first flit visible and moved to the next
+  // head's output when TryForward pops (RequestMasksExact audits this).
   std::array<uint32_t, kNumPorts> requests_{};
+  // Input buffers holding staged (uncommitted) flits, so CommitStaged
+  // visits only those.
+  uint32_t staged_ = 0;
 
   // Weighted-arbitration state. `weighted_` gates the whole mechanism so
   // boards that never configure weights keep the original arbitration

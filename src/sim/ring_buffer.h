@@ -1,15 +1,23 @@
-// Fixed-capacity FIFO ring buffer.
+// FIFO ring buffer over raw slot storage.
 //
-// The router input VCs and NI injection queues are bounded by construction
-// (buffer_depth / inject_queue_flits), yet were modeled with std::deque —
-// which heap-allocates block nodes as it churns on every executed cycle.
-// RingBuffer allocates its slots exactly once and then pushes/pops with two
-// index updates, keeping the per-flit cost allocation-free.
+// Two shapes, one class:
+//  - Bounded: Init(capacity) once at wiring time. The router input VCs and
+//    NI injection queues are bounded by construction (buffer_depth /
+//    inject_queue_flits), so their slots are allocated exactly once.
+//  - Growing: never Init. The slot array doubles when a push finds it full
+//    and never shrinks, so a message FIFO (monitor inbox/outbox, an
+//    accelerator's pending queue, the NI delivery queue) reaches its
+//    high-water mark during warmup and then stops touching the heap —
+//    unlike std::deque, which frees and reallocates blocks as the queue
+//    advances.
+// Either way a push/pop is two index updates.
 //
-// pop_front() resets the vacated slot to a default-constructed T so that
-// reference-holding elements (Flit's PacketRef) release their target the
-// moment they leave the queue, not when the slot is later overwritten —
-// the packet pool's acquire/release balance depends on this.
+// Elements are constructed in place on push and destroyed in place on pop,
+// so reference-holding elements (Flit's PacketRef, a Message's PayloadBuf)
+// release their target the moment they leave the queue, not when the slot
+// is later overwritten — the packet pool's acquire/release balance depends
+// on this — and a pop costs one destructor, not a default-construct plus an
+// assignment.
 //
 // Ownership contract: RingBuffer is a SINGLE-OWNER queue — producer and
 // consumer are the same simulation domain, so there is no synchronization
@@ -19,8 +27,9 @@
 // src/sim/parallel/spsc_ring.h, which documents the full SPSC memory-order
 // argument; the sharded engine uses it for boundary flit handoff and this
 // class for everything intra-shard. Debug builds enforce the structural
-// half of the contract here: Init() exactly once, capacity never exceeded,
-// never pop from empty (the asserts below).
+// half of the contract here: Init() at most once and only while empty,
+// a bounded capacity never exceeded, never pop from empty (the asserts
+// below).
 #ifndef SRC_SIM_RING_BUFFER_H_
 #define SRC_SIM_RING_BUFFER_H_
 
@@ -34,11 +43,21 @@ namespace apiary {
 template <typename T>
 class RingBuffer {
  public:
+  // An empty growing ring; no storage until the first push.
   RingBuffer() = default;
+  // A bounded ring (see Init).
   explicit RingBuffer(uint32_t capacity) { Init(capacity); }
 
-  // Sets the logical capacity and allocates slot storage (power-of-two
-  // rounded so the index wrap is a mask). Called once at wiring time.
+  RingBuffer(const RingBuffer&) = delete;
+  RingBuffer& operator=(const RingBuffer&) = delete;
+  ~RingBuffer() {
+    clear();
+    std::allocator<T>().deallocate(slots_, SlotCount());
+  }
+
+  // Makes the ring bounded to `capacity` and allocates its slot storage
+  // (power-of-two rounded so the index wrap is a mask). Called once at
+  // wiring time.
   void Init(uint32_t capacity) {
     assert(capacity > 0);
     assert(slots_ == nullptr && size_ == 0 && "RingBuffer::Init must run exactly once");
@@ -47,21 +66,26 @@ class RingBuffer {
     while (slots < capacity) {
       slots <<= 1;
     }
-    mask_ = slots - 1;
-    slots_ = std::make_unique<T[]>(slots);
-    head_ = 0;
+    Reallocate(slots);
   }
 
+  // The bound set by Init; 0 for a growing ring.
   uint32_t capacity() const { return capacity_; }
   uint32_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  bool full() const { return size_ == capacity_; }
+  bool full() const { return capacity_ != 0 && size_ == capacity_; }
 
-  void push_back(T value) {
-    assert(size_ < capacity_);
-    slots_[(head_ + size_) & mask_] = std::move(value);
+  template <typename... Args>
+  T& emplace_back(Args&&... args) {
+    assert(capacity_ == 0 || size_ < capacity_);
+    if (size_ == SlotCount()) {
+      Reallocate(size_ == 0 ? 4 : 2 * size_);  // Growing ring only.
+    }
+    T* slot = std::construct_at(&slots_[(head_ + size_) & mask_], std::forward<Args>(args)...);
     ++size_;
+    return *slot;
   }
+  void push_back(T value) { emplace_back(std::move(value)); }
 
   T& front() {
     assert(size_ > 0);
@@ -71,10 +95,15 @@ class RingBuffer {
     assert(size_ > 0);
     return slots_[head_];
   }
+  // The i-th element from the front.
+  const T& operator[](uint32_t i) const {
+    assert(i < size_);
+    return slots_[(head_ + i) & mask_];
+  }
 
   void pop_front() {
     assert(size_ > 0);
-    slots_[head_] = T{};
+    std::destroy_at(&slots_[head_]);
     head_ = (head_ + 1) & mask_;
     --size_;
   }
@@ -84,9 +113,7 @@ class RingBuffer {
   T take_front() {
     assert(size_ > 0);
     T value = std::move(slots_[head_]);
-    slots_[head_] = T{};
-    head_ = (head_ + 1) & mask_;
-    --size_;
+    pop_front();
     return value;
   }
 
@@ -97,7 +124,24 @@ class RingBuffer {
   }
 
  private:
-  std::unique_ptr<T[]> slots_;
+  uint32_t SlotCount() const { return slots_ == nullptr ? 0 : mask_ + 1; }
+
+  // Moves the live elements, in order, into a fresh array of `slots`
+  // (a power of two) starting at index 0.
+  void Reallocate(uint32_t slots) {
+    T* fresh = std::allocator<T>().allocate(slots);
+    for (uint32_t i = 0; i < size_; ++i) {
+      T& old = slots_[(head_ + i) & mask_];
+      std::construct_at(&fresh[i], std::move(old));
+      std::destroy_at(&old);
+    }
+    std::allocator<T>().deallocate(slots_, SlotCount());
+    slots_ = fresh;
+    mask_ = slots - 1;
+    head_ = 0;
+  }
+
+  T* slots_ = nullptr;
   uint32_t capacity_ = 0;
   uint32_t mask_ = 0;
   uint32_t head_ = 0;

@@ -83,6 +83,8 @@ TEST(MonitorLimitsTest, InboxOverflowBouncesBackpressure) {
     packet->dst = 0;
     packet->payload = SerializeMessage(msg);
     packet->flit_count = ComputeFlitCount(*packet);
+    // Stand in for NetworkInterface::Inject, the one stamping site.
+    packet->checksum = PacketWireChecksum(*packet);
     tb.board.mesh().ni(0).EjectFlit(Flit{packet, packet->flit_count - 1}, 0);
   }
   monitor.BeginCycle(1);

@@ -2,13 +2,16 @@
 // control, virtual channels, network interfaces and the rate limiter.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "src/noc/mesh.h"
 #include "src/noc/packet.h"
 #include "src/noc/packet_pool.h"
 #include "src/noc/rate_limiter.h"
+#include "src/sim/crc32.h"
 #include "src/sim/payload_arena.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
@@ -411,6 +414,83 @@ TEST(MeshTest, WeightedArbitrationIsWorkConserving) {
   EXPECT_GE(weighted * 10, unweighted * 9);
 }
 
+// Flips one bit of a packet's wire image the first time a head flit
+// crosses a link, and never drops.
+class CorruptOnceFaultModel : public NocFaultModel {
+ public:
+  bool OnLinkTraverse(TileId router_tile, const Flit& flit, Cycle now) override {
+    (void)router_tile;
+    (void)now;
+    if (!fired_ && flit.is_head()) {
+      *flit.packet->wire_byte(0) ^= 0x10;
+      fired_ = true;
+    }
+    return false;
+  }
+  bool RouterStalled(TileId router_tile, Cycle now) override {
+    (void)router_tile;
+    (void)now;
+    return false;
+  }
+  bool fired_ = false;
+};
+
+// A hand-built packet whose wire image has CRC-32C 0: the last four payload
+// bytes are forged by running the CRC register backwards from the value
+// that finalizes to 0.
+PacketRef MakeZeroChecksumPacket(TileId src, TileId dst) {
+  std::array<uint32_t, 256> table{};  // table[b]: one CRC step from register b.
+  for (uint32_t b = 0; b < 256; ++b) {
+    const uint8_t byte = static_cast<uint8_t>(b);
+    table[b] = Crc32cUpdate(0, &byte, 1);
+  }
+  std::vector<uint8_t> wire(60);
+  for (size_t i = 0; i < wire.size(); ++i) {
+    wire[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  // Undo four steps r' = table[r & 0xff] ^ (r >> 8): the top byte of r'
+  // names the table entry, whose top bytes are all distinct.
+  uint32_t reg = Crc32cFinalize(0);
+  for (int step = 0; step < 4; ++step) {
+    uint32_t b = 0;
+    while (b < 255 && (table[b] >> 24) != (reg >> 24)) {
+      ++b;
+    }
+    reg = ((reg ^ table[b]) << 8) | b;
+  }
+  // Four data bytes XOR into the register before those steps.
+  const uint32_t forged = reg ^ Crc32cUpdate(kCrc32cInit, wire.data(), wire.size());
+  for (int i = 0; i < 4; ++i) {
+    wire.push_back(static_cast<uint8_t>(forged >> (8 * i)));
+  }
+  PacketRef p = MakePacket(src, dst, 0);
+  p->payload.assign(wire.data(), wire.size());
+  return p;
+}
+
+// A checksum of 0 is a checksum like any other: corruption of a packet
+// whose CRC happens to be 0 is still caught at eject.
+TEST(NetworkInterfaceTest, ZeroChecksumIsStillVerified) {
+  for (const bool corrupt : {false, true}) {
+    Simulator sim;
+    Mesh mesh(MeshConfig{2, 1, 4, 64});
+    sim.Register(&mesh);
+    CorruptOnceFaultModel faults;
+    if (corrupt) {
+      mesh.SetFaultModel(&faults);
+    }
+    PacketRef p = MakeZeroChecksumPacket(0, 1);
+    ASSERT_EQ(PacketWireChecksum(*p), 0u);
+    ASSERT_TRUE(mesh.ni(0).Inject(p, sim.now()));
+    EXPECT_EQ(p->checksum, 0u);  // Stamped by Inject: the genuine value.
+    sim.Run(50);
+    const CounterSet& counters = mesh.ni(1).counters();
+    EXPECT_EQ(counters.Get("ni.checksum_drops"), corrupt ? 1u : 0u) << "corrupt=" << corrupt;
+    EXPECT_EQ(counters.Get("ni.packets_delivered"), corrupt ? 0u : 1u) << "corrupt=" << corrupt;
+    EXPECT_EQ(faults.fired_, corrupt);
+  }
+}
+
 // Fixed fault windows for the golden run: router 27 forwards nothing during
 // [1500, 1700), and every packet leaving router 36 over a link during
 // [2000, 2400) is dropped.
@@ -461,6 +541,9 @@ TEST(MeshTest, RouterGoldenDigest) {
       }
     }
   };
+  // The routers' maintained request masks must equal a from-scratch
+  // rebuild after every tick.
+  uint64_t inexact_masks = 0;
   for (Cycle c = 0; c < 9000; ++c) {
     if (c < 3000) {
       for (int k = 0; k < 12; ++k) {
@@ -475,8 +558,12 @@ TEST(MeshTest, RouterGoldenDigest) {
       }
     }
     sim.Run(1);
+    for (uint32_t t = 0; t < n; ++t) {
+      inexact_masks += mesh.router(t).RequestMasksExact() ? 0 : 1;
+    }
     drain();
   }
+  EXPECT_EQ(inexact_masks, 0u);
   const Histogram latency = mesh.AggregateLatency();
   const std::string counters = mesh.AggregateCounters().ToString();
   uint64_t hash = 0xcbf29ce484222325ull;

@@ -195,6 +195,44 @@ INSTANTIATE_TEST_SUITE_P(DegenerateShapes, ShapeParamTest,
                                            std::make_tuple(1u, 3u, 4u),   // empty shard
                                            std::make_tuple(4u, 4u, 2u))); // square
 
+TEST(ParallelSimulatorTest, RequestMasksStayExactWhenSharded) {
+  // A 4x4 mesh with shallow buffers in two column-band shards on two
+  // threads: flows cross the cut both ways and converge on shared sinks, so
+  // boundary credits, stalls and wormhole blocking all move router input
+  // buffers. After every cycle each router's maintained request masks must
+  // equal a from-scratch rebuild.
+  Simulator sim;
+  Mesh mesh(MeshConfig{4, 4, 2, 64}, &sim.context());
+  sim.Register(&mesh);
+  std::vector<std::unique_ptr<PacketSource>> sources;
+  std::vector<std::unique_ptr<PacketSink>> sinks;
+  constexpr TileId kFlows[][2] = {{0, 15}, {4, 15}, {8, 15}, {12, 3}, {15, 0}, {11, 0}, {7, 12}};
+  for (const auto& flow : kFlows) {
+    sources.push_back(std::make_unique<PacketSource>(&mesh, flow[0], flow[1], 300));
+    sim.Register(sources.back().get());
+  }
+  for (const TileId t : {0u, 3u, 12u, 15u}) {
+    sinks.push_back(std::make_unique<PacketSink>(&mesh, t));
+    sim.Register(sinks.back().get());
+  }
+  ParallelSimulator psim(&sim, &mesh, ParallelConfig{2, 2});
+  uint64_t inexact_masks = 0;
+  for (Cycle c = 0; c < 3000; ++c) {
+    psim.Run(1);
+    for (uint32_t t = 0; t < mesh.num_tiles(); ++t) {
+      inexact_masks += mesh.router(t).RequestMasksExact() ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(inexact_masks, 0u);
+  int received = 0;
+  for (const auto& sink : sinks) {
+    received += sink->received();
+  }
+  EXPECT_EQ(received, 7 * 300);  // Every flow drained.
+  EXPECT_GT(mesh.BoundaryFlitsHandedOff(), 0u);
+  EXPECT_GT(mesh.AggregateCounters().Get("router.stalls"), 0u);
+}
+
 TEST(ParallelSimulatorTest, EmptyShardEngineRuns) {
   // 1x3 mesh split 4 ways: shard 0 owns no tiles. Threads clamp to the
   // shard count and the empty shard's phases are no-ops.

@@ -437,6 +437,9 @@ LintConfig DefaultConfig() {
   // Router, NI and monitor bump counters per flit or per message.
   config.interned_counter_files = {"src/noc/router.cc", "src/noc/network_interface.cc",
                                    "src/core/monitor.cc"};
+  // Router, NI, monitor and echo queue a flit or a message per event.
+  config.per_message_fifo_prefixes = {"src/noc/router.", "src/noc/network_interface.",
+                                      "src/core/monitor.", "src/accel/echo."};
 
   // src/sim/clocked.h rides along for quiescence hygiene: an ignored
   // NextActivity() result means a computed wake-up cycle was dropped on the
@@ -786,6 +789,10 @@ void CheckHotPath(const SourceFile& file, const LintConfig& config,
   const bool interned_file =
       std::find(config.interned_counter_files.begin(), config.interned_counter_files.end(),
                 file.path) != config.interned_counter_files.end();
+  bool fifo_file = false;
+  for (const auto& prefix : config.per_message_fifo_prefixes) {
+    fifo_file = fifo_file || StartsWith(file.path, prefix);
+  }
   for (size_t i = 0; i < file.code_lines.size(); ++i) {
     const std::string& line = file.code_lines[i];
     const int lineno = static_cast<int>(i) + 1;
@@ -805,6 +812,12 @@ void CheckHotPath(const SourceFile& file, const LintConfig& config,
                              "string-literal counter bump in an interned-counter file; "
                              "intern the name at construction and bump its CounterId"});
       }
+    }
+    if (fifo_file && line.find("std::deque") != std::string::npos) {
+      findings->push_back({file.path, lineno, "apiary-hot-path",
+                           "std::deque in a per-message file frees and reallocates blocks "
+                           "as the queue advances; queue in a RingBuffer (bounded, or "
+                           "growing and never shrinking)"});
     }
     if (line.find("make_shared<NocPacket") != std::string::npos ||
         line.find("make_shared< NocPacket") != std::string::npos) {

@@ -15,7 +15,9 @@
 //   apiary-hot-path        packets come from PacketPool, payloads ride in
 //                          PayloadBuf (no per-message heap allocation); the
 //                          express corridor planner/reservation files never
-//                          allocate outside one-time Configure()
+//                          allocate outside one-time Configure(); the
+//                          per-message files queue in RingBuffers, never
+//                          std::deque
 //   apiary-global-state    no unannotated process-global mutable state under
 //                          src/ (survivors carry APIARY-SHARED(<domain>))
 //   apiary-domain-confinement
@@ -153,6 +155,11 @@ struct LintConfig {
   // CounterId, so a string-literal counters_.Add("...")/Set("...") — a name
   // lookup per event on the per-flit path — is a finding, cold sites too.
   std::vector<std::string> interned_counter_files;
+  // Path prefixes of the files that queue per message or per flit (router,
+  // NI, monitor, echo). std::deque there frees and reallocates blocks as
+  // the queue advances; their FIFOs are RingBuffers, so a std::deque is a
+  // finding.
+  std::vector<std::string> per_message_fifo_prefixes;
 
   // --- apiary-opcode-coverage ---
   // Path suffixes of the headers that define the opcode ABI.

@@ -457,6 +457,30 @@ TEST(HotPath, InternedCounterFilesBanLiteralBumps) {
   }
 }
 
+TEST(HotPath, PerMessageFilesBanDeque) {
+  for (const char* path : {"src/noc/router.cc", "src/noc/network_interface.cc",
+                           "src/core/monitor.cc", "src/accel/echo.cc"}) {
+    const auto findings = LintOne(path,
+                                  "#include <deque>\n"
+                                  "class Q {\n"
+                                  "  std::deque<Message> inbox_;\n"
+                                  "  RingBuffer<Message> outbox_;\n"
+                                  "};\n");
+    ASSERT_EQ(findings.size(), 1u) << path;
+    EXPECT_EQ(findings[0].check, "apiary-hot-path");
+    EXPECT_EQ(findings[0].line, 3);
+    EXPECT_NE(findings[0].message.find("RingBuffer"), std::string::npos);
+  }
+}
+
+TEST(HotPath, DequeOutsidePerMessageFilesIsAllowed) {
+  EXPECT_TRUE(LintOne("src/accel/checksum.cc",
+                      "class C {\n"
+                      "  std::deque<Job> jobs_;\n"
+                      "};\n")
+                  .empty());
+}
+
 TEST(HotPath, LiteralBumpsOutsideInternedFilesAreAllowed) {
   EXPECT_TRUE(LintOne("src/services/load_balancer.cc",
                       "void f() { counters_.Add(\"lb.forwards\"); }\n")
