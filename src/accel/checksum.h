@@ -4,13 +4,14 @@
 #ifndef SRC_ACCEL_CHECKSUM_H_
 #define SRC_ACCEL_CHECKSUM_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/accel/accel_opcodes.h"
 #include "src/core/accelerator.h"
 #include "src/sim/crc32.h"
+#include "src/sim/ring_buffer.h"
 
 namespace apiary {
 
@@ -21,6 +22,14 @@ class ChecksumAccelerator : public Accelerator {
 
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
+  // Idle until the head-of-line job leaves the engine; a backpressured
+  // reply keeps done_at in the past, which keeps the tile active for the
+  // retry.
+  // APIARY-WAKE(tile): hosted accelerator — requests arrive through the
+  // owning Tile, whose NI sink wake ends the park on message delivery.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return jobs_.empty() ? kNoActivity : std::max(jobs_.front().done_at, now);
+  }
 
   std::string name() const override { return "checksum"; }
   uint32_t LogicCellCost() const override { return 4000; }
@@ -34,7 +43,8 @@ class ChecksumAccelerator : public Accelerator {
   };
 
   uint32_t bytes_per_cycle_;
-  std::deque<Job> jobs_;
+  // Growing ring: steady-state request churn never touches the heap.
+  RingBuffer<Job> jobs_;
   Cycle engine_free_at_ = 0;
   uint64_t served_ = 0;
 };

@@ -8,6 +8,7 @@
 #ifndef SRC_ACCEL_CRYPTO_H_
 #define SRC_ACCEL_CRYPTO_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -40,6 +41,14 @@ class CryptoAccelerator : public Accelerator {
 
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
+  // Idle until the head-of-line job leaves the engine (completion cycles
+  // are monotonic); a backpressured output keeps done_at in the past,
+  // which keeps the tile active for the retry.
+  // APIARY-WAKE(tile): hosted accelerator — requests arrive through the
+  // owning Tile, whose NI sink wake ends the park on message delivery.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return jobs_.empty() ? kNoActivity : std::max(jobs_.front().done_at, now);
+  }
 
   std::string name() const override { return "crypto"; }
   uint32_t LogicCellCost() const override { return 12000; }

@@ -88,6 +88,9 @@ class FlooderAccelerator : public Accelerator {
   void SetVictim(CapRef victim) { victim_ = victim; }
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
+  // Floods on every cycle by design (and SetVictim arms it from outside
+  // without a wake), so it never declares quiescence.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override { return now; }
 
   std::string name() const override { return "flooder"; }
   uint32_t LogicCellCost() const override { return 3000; }
@@ -114,6 +117,10 @@ class SnooperAccelerator : public Accelerator {
 
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
+  // Acts only at its attempt cycles; replies are counted in OnMessage.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return next_attempt_ > now ? next_attempt_ : now;
+  }
 
   std::string name() const override { return "snooper"; }
   uint32_t LogicCellCost() const override { return 3000; }
@@ -145,6 +152,15 @@ class WildWriterAccelerator : public Accelerator {
   void OnBoot(TileApi& api) override;
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
+  // Idle until its segment is granted, then active at each attempt cycle.
+  // APIARY-WAKE(tile): the memory service's allocation reply arrives through
+  // the owning Tile's NI sink wake.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    if (mem_cap_ == kInvalidCapRef) {
+      return kNoActivity;
+    }
+    return next_attempt_ > now ? next_attempt_ : now;
+  }
 
   std::string name() const override { return "wild_writer"; }
   uint32_t LogicCellCost() const override { return 3000; }

@@ -193,8 +193,7 @@ void KvStoreAccelerator::Tick(TileApi& api) {
     return;
   }
   while (!boot_backlog_.empty()) {
-    Message msg = std::move(boot_backlog_.front());
-    boot_backlog_.pop_front();
+    const Message msg = boot_backlog_.take_front();
     OnMessage(msg, api);
   }
 }

@@ -15,13 +15,13 @@
 #ifndef SRC_ACCEL_KV_STORE_H_
 #define SRC_ACCEL_KV_STORE_H_
 
-#include <deque>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/accel/accel_opcodes.h"
 #include "src/core/accelerator.h"
+#include "src/sim/ring_buffer.h"
 #include "src/stats/summary.h"
 
 namespace apiary {
@@ -35,6 +35,17 @@ class KvStoreAccelerator : public Accelerator {
   void OnBoot(TileApi& api) override;
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
+  // Tick only retries provisioning (every cycle while no allocation request
+  // is outstanding) and drains the boot backlog once the value log exists;
+  // GET/PUT/DELETE are served from OnMessage.
+  // APIARY-WAKE(tile): hosted accelerator — client requests and the memory
+  // service's replies arrive through the owning Tile's NI sink wake.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    if (mem_cap_ == kInvalidCapRef) {
+      return alloc_requested_ ? kNoActivity : now;
+    }
+    return boot_backlog_.empty() ? kNoActivity : now;
+  }
 
   std::string name() const override { return "kv_store"; }
   uint32_t LogicCellCost() const override { return 35000; }
@@ -77,8 +88,9 @@ class KvStoreAccelerator : public Accelerator {
   std::map<std::string, ValueLoc> index_;
   // memsvc request_id -> pending client op.
   std::map<uint64_t, PendingOp> in_flight_;
-  // Requests that arrived before the value log was provisioned.
-  std::deque<Message> boot_backlog_;
+  // Requests that arrived before the value log was provisioned (growing
+  // ring, capped at 64 by OnMessage).
+  RingBuffer<Message> boot_backlog_;
   uint64_t next_mem_request_ = 1;
   CounterSet counters_;
 };

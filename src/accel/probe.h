@@ -38,6 +38,14 @@ class ProbeAccelerator : public Accelerator {
     }
   }
 
+  // Idle while the outbox is empty; a backpressured head keeps the tile
+  // active for the retry.
+  // APIARY-WAKE(tile): received messages arrive through the owning Tile's
+  // NI sink wake, and EnqueueSend rings the tile's doorbell.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return outbox.empty() ? kNoActivity : now;
+  }
+
   std::string name() const override { return "probe"; }
   uint32_t LogicCellCost() const override { return 1000; }
 
@@ -45,6 +53,10 @@ class ProbeAccelerator : public Accelerator {
   void EnqueueSend(Message msg, CapRef endpoint, CapRef mem = kInvalidCapRef,
                    CapRef mem2 = kInvalidCapRef) {
     outbox.push_back({std::move(msg), endpoint, mem, mem2});
+    // Before the first tick the unbooted tile is active anyway.
+    if (self != nullptr) {
+      self->RequestTick();
+    }
   }
 
   bool auto_reply = false;

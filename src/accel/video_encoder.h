@@ -11,6 +11,7 @@
 #ifndef SRC_ACCEL_VIDEO_ENCODER_H_
 #define SRC_ACCEL_VIDEO_ENCODER_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -52,6 +53,14 @@ class VideoEncoderAccelerator : public Accelerator {
 
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
+  // Idle until the head-of-line job leaves the engine (completion cycles
+  // are monotonic); a backpressured output keeps done_at in the past,
+  // which keeps the tile active for the retry.
+  // APIARY-WAKE(tile): hosted accelerator — requests arrive through the
+  // owning Tile, whose NI sink wake ends the park on message delivery.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return jobs_.empty() ? kNoActivity : std::max(jobs_.front().done_at, now);
+  }
 
   std::string name() const override { return "video_encoder"; }
   uint32_t LogicCellCost() const override { return 45000; }

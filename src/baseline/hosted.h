@@ -40,6 +40,7 @@ struct HostedConfig {
   uint32_t max_queue_depth = 4096;
 };
 
+// NOLINTNEXTLINE(apiary-wake-path): host-mediated comparison model, ticked every cycle as measured; it is not part of the Apiary board
 class HostedSystem : public Clocked, public ExternalEndpoint {
  public:
   HostedSystem(HostedConfig config, Simulator& sim, ExternalNetwork* network);

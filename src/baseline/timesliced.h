@@ -25,6 +25,7 @@ struct TimeSlicedConfig {
   Cycle service_cycles = 200;            // Per-request service time.
 };
 
+// NOLINTNEXTLINE(apiary-wake-path): time-sliced comparison model, ticked every cycle as measured; it is not part of the Apiary board
 class TimeSlicedFpga : public Clocked {
  public:
   explicit TimeSlicedFpga(TimeSlicedConfig config)

@@ -73,6 +73,12 @@ class TileApi {
   // This tile's own logical service name (set by the kernel at deploy).
   virtual ServiceId service() const = 0;
 
+  // Doorbell for work handed to the accelerator from outside its own
+  // callbacks (a driver queuing a send between runs): ends the owning
+  // tile's parked quiescence so Tick runs on the next executed cycle.
+  // Delivered messages need no doorbell; delivery wakes the tile.
+  virtual void RequestTick() = 0;
+
   // Cooperative error reporting: the accelerator detected an internal error
   // it cannot recover from. The monitor applies the fault policy
   // (fail-stop, or context swap when preemptible).

@@ -128,6 +128,7 @@ class Monitor : public TileApi {
   AppId app() const override { return app_; }
   ServiceId service() const override { return service_; }
   void RaiseFault(const std::string& reason) override;
+  void RequestTick() override { owner_wake_.Wake(); }
 
   // ------------------------------------------------------------------
   // Introspection.

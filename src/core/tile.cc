@@ -33,6 +33,7 @@ void Tile::Configure(std::unique_ptr<Accelerator> accel, bool immediate, Cycle n
   // External input (the kernel's reconfiguration plane): a vacant tile may
   // be parked idle, and a busy one may be parked past the new done-at.
   RequestWake();
+  reconfig_watcher_.Wake();
 }
 
 bool Tile::PreemptSwap(std::unique_ptr<Accelerator> replacement) {

@@ -57,6 +57,14 @@ class Tile : public Clocked {
   Accelerator* accelerator() { return accel_.get(); }
   TileId id() const { return id_; }
   bool reconfiguring() const { return reconfiguring_; }
+  // The cycle at which an in-progress reconfiguration completes (the tile's
+  // own tick in that cycle boots the new logic). Meaningful while
+  // reconfiguring(); a value <= now means "on the next tick".
+  Cycle reconfig_done_at() const { return reconfig_done_at_; }
+  // Wakes `watcher` whenever a reconfiguration of this tile is (re)started:
+  // a block parked until reconfig_done_at() (the ICAP owner waiting on its
+  // load) learns that the done-at moved. An empty hint clears it.
+  void SetReconfigWatcher(WakeHint watcher) { reconfig_watcher_ = watcher; }
   bool vacant() const { return accel_ == nullptr && !reconfiguring_; }
 
   void set_fault_policy(FaultPolicy policy) { fault_policy_ = policy; }
@@ -84,6 +92,7 @@ class Tile : public Clocked {
   std::unique_ptr<Accelerator> pending_accel_;
   Cycle reconfig_cycles_;
   Cycle reconfig_done_at_ = 0;
+  WakeHint reconfig_watcher_;
   bool reconfiguring_ = false;
   bool booted_ = false;
   bool seu_wedged_ = false;

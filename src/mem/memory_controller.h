@@ -4,7 +4,9 @@
 #define SRC_MEM_MEMORY_CONTROLLER_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -48,17 +50,25 @@ class MemoryController : public Clocked, public MemoryBackend {
     return SchedPolicy::kBoundaryPoll;
   }
 
-  uint64_t capacity() const override { return store_.size(); }
+  uint64_t capacity() const override { return capacity_; }
   const CounterSet& counters() const { return dram_.counters(); }
   DramChannel& dram() { return dram_; }
 
  private:
   bool InBounds(uint64_t addr, uint64_t len) const {
-    return addr <= store_.size() && len <= store_.size() - addr;
+    return addr <= capacity_ && len <= capacity_ - addr;
   }
 
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+
   DramChannel dram_;
-  std::vector<uint8_t> store_;
+  // calloc'd, never value-initialized: the host zeroes each page on first
+  // touch, so board bring-up costs no memset of the whole part's DRAM and
+  // only pages a run actually uses become resident.
+  uint64_t capacity_;
+  std::unique_ptr<uint8_t[], FreeDeleter> store_;
   bool ecc_enabled_ = false;
 };
 

@@ -20,10 +20,22 @@ Autoscaler::Autoscaler(ApiaryOs* os, LoadBalancer* lb, TileId lb_tile, AppId app
       scheduler_(scheduler),
       config_(config) {
   target_ = config_.min_replicas;
-  // Anchor the integral clock at creation time so a fast-forward before the
-  // first tick does not back-fill region-cycles for cycles that predate us.
-  now_ = os_->sim().now();
+  // The integral starts at creation time, never back-filling earlier cycles.
+  accrued_to_ = os_->sim().now();
   os_->sim().Register(this);
+}
+
+void Autoscaler::AccrueTo(Cycle end) {
+  if (end > accrued_to_) {
+    tile_cycles_ += (end - accrued_to_) * replicas_.size();
+    accrued_to_ = end;
+  }
+}
+
+uint64_t Autoscaler::replica_tile_cycles() const {
+  const Cycle now = os_->sim().now();
+  return now > accrued_to_ ? tile_cycles_ + (now - accrued_to_) * replicas_.size()
+                           : tile_cycles_;
 }
 
 void Autoscaler::AdoptReplica(ServiceId service, TileId tile, CapRef endpoint) {
@@ -32,6 +44,7 @@ void Autoscaler::AdoptReplica(ServiceId service, TileId tile, CapRef endpoint) {
   r.tile = tile;
   r.endpoint = endpoint;
   r.state = ReplicaState::kLive;
+  AccrueTo(os_->sim().now());
   replicas_.push_back(r);
   target_ = std::max(target_, live_replicas());
 }
@@ -62,8 +75,9 @@ void Autoscaler::PushMembership() {
 void Autoscaler::Tick(Cycle now) {
   now_ = now;
   // Every replica-owned region costs a region-cycle whether it is serving,
-  // loading, or draining — the honest provisioning cost.
-  tile_cycles_ += replicas_.size();
+  // loading, or draining — the honest provisioning cost. This cycle counts
+  // at the size the set has when this block runs in it.
+  AccrueTo(now + 1);
   if (config_.poll_period != 0 && now % config_.poll_period == 0) {
     Poll();
   }
@@ -171,7 +185,7 @@ void Autoscaler::ScaleUp() {
   Replica r;
   r.tile = tile;
   r.state = ReplicaState::kLoading;
-  replicas_.push_back(r);
+  replicas_.push_back(r);  // Tick already folded this cycle.
   counters_.Add("orch.scale_up_started");
   APIARY_LOG(kInfo) << "autoscaler: scaling up onto tile " << tile;
   scheduler_->ScheduleLoad(tile, factory_, [this](TileId t, ServiceId svc, bool ok) {
@@ -184,6 +198,7 @@ void Autoscaler::ScaleUp() {
       return;
     }
     if (!ok) {
+      AccrueTo(os_->sim().now());
       replicas_.erase(it);
       counters_.Add("orch.scale_up_failed");
       return;
@@ -234,6 +249,7 @@ void Autoscaler::ScaleDown() {
           // replica record either way.
           counters_.Add("orch.scale_down_raced");
         }
+        AccrueTo(os_->sim().now());
         replicas_.erase(rit);
         ++scale_downs_;
         counters_.Add("orch.scale_downs");

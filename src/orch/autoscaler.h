@@ -91,9 +91,12 @@ class Autoscaler : public Clocked {
   void SetAdmission(std::function<bool()> admit) { admit_ = std::move(admit); }
 
   void Tick(Cycle now) override;
-  // The control loop only acts at poll multiples; the region-cycle integral
-  // (the other per-tick effect) is reconstructed exactly on fast-forward
-  // because replica membership can only change on executed cycles.
+  // The control loop only acts at poll multiples, so between polls the
+  // block parks on the timer wheel. The region-cycle integral needs no
+  // ticks: it is folded lazily (AccrueTo) whenever the replica set changes
+  // and when it is read.
+  // APIARY-WAKE(self): the poll multiples are the only activity; replica
+  // membership changes fold the integral from the scheduler's callbacks.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     if (config_.poll_period == 0) {
       return kNoActivity;
@@ -101,17 +104,7 @@ class Autoscaler : public Clocked {
     const Cycle rem = now % config_.poll_period;
     return rem == 0 ? now : now + (config_.poll_period - rem);
   }
-  void OnFastForward(Cycle resume_cycle) override {
-    tile_cycles_ += (resume_cycle - 1 - now_) * replicas_.size();
-    now_ = resume_cycle - 1;
-  }
   std::string DebugName() const override { return "autoscaler"; }
-  // The region-cycle integral accrues on every executed cycle (OnFastForward
-  // compensates only skipped windows), so the block is pinned: parking it
-  // between poll multiples would silently stop the meter.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kEveryCycle;
-  }
 
   uint32_t live_replicas() const;
   uint32_t target_replicas() const { return target_; }
@@ -120,7 +113,9 @@ class Autoscaler : public Clocked {
   // Tile-cycles consumed by the replica set (live + loading + draining
   // regions each cost one region-cycle per cycle): the provisioning-cost
   // metric the A10 experiment compares against static deployments.
-  uint64_t replica_tile_cycles() const { return tile_cycles_; }
+  // Covers every cycle before the current one (and the current one once
+  // this block has ticked in it).
+  uint64_t replica_tile_cycles() const;
   const CounterSet& counters() const { return counters_; }
   const AutoscalerConfig& config() const { return config_; }
 
@@ -138,6 +133,13 @@ class Autoscaler : public Clocked {
   void ScaleDown();
   // Pushes the current live-endpoint set to the balancer.
   void PushMembership();
+  // Folds the region-cycle integral through cycle `end` - 1 at the current
+  // replica count. Called before every change to replicas_ with the
+  // current cycle: a change made by an earlier-registered block (the
+  // reconfiguration scheduler's callbacks) counts from this cycle on, one
+  // made inside this block's own tick from the next — exactly what a
+  // per-tick `+= replicas_.size()` produced.
+  void AccrueTo(Cycle end);
 
   ApiaryOs* os_;
   LoadBalancer* lb_;
@@ -158,6 +160,7 @@ class Autoscaler : public Clocked {
   uint64_t scale_ups_ = 0;
   uint64_t scale_downs_ = 0;
   uint64_t tile_cycles_ = 0;
+  Cycle accrued_to_ = 0;  // First cycle not yet folded into tile_cycles_.
   Cycle now_ = 0;
   CounterSet counters_;
 };

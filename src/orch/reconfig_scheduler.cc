@@ -19,7 +19,6 @@ void ReconfigScheduler::ScheduleLoad(TileId tile, AccelFactory factory,
   job.tile = tile;
   job.factory = std::move(factory);
   job.on_load = std::move(done);
-  job.queued_at = now_;
   jobs_.push_back(std::move(job));
   counters_.Add("orch.loads_queued");
   // New work for an idle (parked) scheduler; callers are root-phase blocks.
@@ -33,7 +32,6 @@ void ReconfigScheduler::ScheduleTeardown(TileId tile, std::function<bool()> drai
   job.tile = tile;
   job.drained = std::move(drained);
   job.on_teardown = std::move(done);
-  job.queued_at = now_;
   jobs_.push_back(std::move(job));
   counters_.Add("orch.teardowns_queued");
   RequestWake();
@@ -92,11 +90,41 @@ void ReconfigScheduler::StartNext(Cycle now) {
   active_ = std::move(a);
 }
 
+Cycle ReconfigScheduler::NextActivity(Cycle now) const {
+  if (!active_.has_value()) {
+    return jobs_.empty() ? kNoActivity : now;
+  }
+  const Active& a = *active_;
+  if (a.loading) {
+    // The tile flips out of reconfiguring() in its own tick at the done-at
+    // cycle; the scheduler observes it from that cycle on.
+    const Tile& tile = os_->tile(a.job.tile);
+    if (tile.reconfiguring() && tile.reconfig_done_at() > now) {
+      return tile.reconfig_done_at();
+    }
+    return now;
+  }
+  if (a.job.kind == JobKind::kTeardown && a.job.drain_ok_since != kInvalidCycle) {
+    const Cycle hold_end = a.job.drain_ok_since + config_.drain_cycles;
+    return hold_end > now ? hold_end : now;
+  }
+  return now;
+}
+
+void ReconfigScheduler::MarkLoading(Active& a) {
+  a.loading = true;
+  // A restarted reconfiguration of this tile moves the done-at we park on.
+  os_->tile(a.job.tile).SetReconfigWatcher(WakeHint(this));
+}
+
 void ReconfigScheduler::FinishActive(bool ok) {
   // Move the job out before invoking its callback: the callback may schedule
   // new work (push into jobs_) or inspect queue state.
   Active a = std::move(*active_);
   active_.reset();
+  if (a.loading) {
+    os_->tile(a.job.tile).SetReconfigWatcher(WakeHint());
+  }
   if (a.job.kind == JobKind::kLoad) {
     counters_.Add(ok ? "orch.loads_live" : "orch.loads_aborted");
     if (a.job.on_load) {
@@ -111,7 +139,6 @@ void ReconfigScheduler::FinishActive(bool ok) {
 }
 
 void ReconfigScheduler::Tick(Cycle now) {
-  now_ = now;
   StartNext(now);
   if (!active_.has_value()) {
     return;
@@ -169,7 +196,7 @@ void ReconfigScheduler::Tick(Cycle now) {
       return;
     }
     ChargeQuota(now);
-    a.loading = true;
+    MarkLoading(a);
     counters_.Add("orch.teardowns_started");
     return;
   }
@@ -199,7 +226,7 @@ void ReconfigScheduler::Tick(Cycle now) {
   }
   ChargeQuota(now);
   a.service = service;
-  a.loading = true;
+  MarkLoading(a);
   counters_.Add("orch.loads_started");
 }
 

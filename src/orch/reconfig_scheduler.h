@@ -59,13 +59,15 @@ class ReconfigScheduler : public Clocked {
                         TeardownCallback done);
 
   void Tick(Cycle now) override;
-  // Drain predicates and ICAP-stall accounting are polled cycle-by-cycle, so
-  // the scheduler pins the clock whenever a job is queued or active; with an
-  // empty queue the tick is a no-op and the clock may run free.
-  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
-    return busy() ? now : kNoActivity;
-  }
-  void OnFastForward(Cycle resume_cycle) override { now_ = resume_cycle - 1; }
+  // Idle with an empty queue. While a bitstream is in flight the next
+  // action is the load's completion (the tile's reconfig-done cycle), and
+  // while a drained teardown holds, the end of the hold; the drain
+  // predicate and the quota / ICAP stall counters are evaluated every
+  // cycle, so those phases stay active.
+  // APIARY-WAKE(self): ScheduleLoad/ScheduleTeardown wake the scheduler,
+  // and the loading tile's reconfig watcher wakes it if that tile's
+  // reconfiguration is restarted (its done-at moves).
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override;
   std::string DebugName() const override { return "reconfig_scheduler"; }
 
   size_t queue_depth() const { return jobs_.size(); }
@@ -95,7 +97,7 @@ class ReconfigScheduler : public Clocked {
     LoadCallback on_load;                 // kLoad only.
     std::function<bool()> drained;        // kTeardown only.
     TeardownCallback on_teardown;         // kTeardown only.
-    Cycle queued_at = 0;
+    Cycle queued_at = 0;                  // When the job reached the head.
     Cycle drain_ok_since = kInvalidCycle; // First cycle `drained` held.
   };
   // Job currently holding (or waiting to hold) the ICAP.
@@ -114,6 +116,8 @@ class ReconfigScheduler : public Clocked {
   bool QuotaAllows(Cycle now);
   void ChargeQuota(Cycle now);
   void StartNext(Cycle now);
+  // The active job's bitstream is in flight; watch its tile.
+  void MarkLoading(Active& a);
   void FinishActive(bool ok);
 
   ApiaryOs* os_;
@@ -121,7 +125,6 @@ class ReconfigScheduler : public Clocked {
   ReconfigSchedulerConfig config_;
   std::deque<Job> jobs_;
   std::optional<Active> active_;
-  Cycle now_ = 0;
   uint32_t quota_loads_per_window_ = 0;  // 0 = unlimited.
   Cycle quota_window_cycles_ = 0;
   Cycle quota_window_index_ = 0;

@@ -34,6 +34,14 @@ class DmaService : public Accelerator {
 
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
+  // Active while any copy is in flight: DRAM completion callbacks advance
+  // job state (written_done, rewrites) from the memory controller's tick,
+  // outside any wake path, so a busy engine is polled every cycle.
+  // APIARY-WAKE(tile): copy requests arrive through the owning Tile's NI
+  // sink wake, which ends the idle park.
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return jobs_.empty() ? kNoActivity : now;
+  }
 
   std::string name() const override { return "dma_service"; }
   uint32_t LogicCellCost() const override { return 9000; }

@@ -91,6 +91,9 @@ class Supervisor : public Clocked {
   // from watchdog ticks) stamp into detection times, and the quoted
   // same-cycle observation of reconfig completions depends on executing
   // every cycle — pinned, never parked. NextActivity still bounds skips.
+  // A parked supervisor could not derive those stamps: a caller registered
+  // before it reads now - 1, one registered after it reads now, and it
+  // cannot tell which (DESIGN.md §4 "Every idle block parks").
   [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
     return SchedPolicy::kEveryCycle;
   }

@@ -328,6 +328,23 @@ Cycle ActiveSchedule::EarliestWork(Cycle now) const {
   return earliest;
 }
 
+size_t ActiveSchedule::CountMissedWakes(Cycle now, const Clocked** first) const {
+  size_t missed = 0;
+  for (const Slot& s : slots_) {
+    if ((s.state != State::kParked && s.state != State::kTimed) ||
+        s.policy != Clocked::SchedPolicy::kActiveSet) {
+      continue;
+    }
+    if (s.block->NextActivity(now) <= now) {
+      if (missed == 0 && first != nullptr) {
+        *first = s.block;
+      }
+      ++missed;
+    }
+  }
+  return missed;
+}
+
 void ActiveSchedule::RebuildAllActive() {
   for (auto& bucket : buckets_) {
     bucket.clear();

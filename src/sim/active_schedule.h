@@ -83,6 +83,13 @@ class ActiveSchedule final : public WakeSink {
   // event callbacks (which may deliver input to any parked block).
   void RebuildAllActive();
 
+  // Audit-mode check (Simulator::SetAuditEnabled): re-polls every parked or
+  // wheeled kActiveSet block at the boundary of cycle `now` and counts those
+  // whose NextActivity(now) <= now — blocks with work this cycle that the
+  // schedule will not tick, i.e. missed wakes. Stores the first offender in
+  // `*first` when it is not null. Pure; O(slots).
+  size_t CountMissedWakes(Cycle now, const Clocked** first) const;
+
   size_t size() const { return live_count_; }
   bool ticking() const { return ticking_; }
 

@@ -296,6 +296,17 @@ void ParallelSimulator::ExecuteCycle() {
     // Root-schedule boundary after the workers are done, so boundary-poll
     // blocks (DRAM, MACs, PCIe) observe shard-phase enqueues from this cycle.
     sim_->sched_.AdvanceBoundary(sim_->now_);
+    if (sim_->audit_enabled_) {
+      AuditSchedules();
+    }
+  }
+}
+
+void ParallelSimulator::AuditSchedules() {
+  // Workers are parked: every schedule is coordinator-readable here.
+  sim_->Audit(sim_->sched_);
+  for (auto& sched : shard_scheds_) {
+    sim_->Audit(*sched);
   }
 }
 
@@ -330,6 +341,9 @@ void ParallelSimulator::ParallelSkipAhead(Cycle limit) {
   sim_->JumpTo(target);
   for (auto& sched : shard_scheds_) {
     sched->AdvanceBoundary(sim_->now_);
+  }
+  if (sim_->audit_enabled_) {
+    AuditSchedules();
   }
 }
 

@@ -114,6 +114,9 @@ class ParallelSimulator {
   // the event queue — the minimum of every block's NextActivity. No-op in
   // the reference mode.
   void ParallelSkipAhead(Cycle limit);
+  // Audit mode (Simulator::SetAuditEnabled) over the root schedule and every
+  // shard schedule, once all boundaries of a cycle or jump are established.
+  void AuditSchedules();
   // Folds the shard schedules' tick/wake counters into the simulator's
   // (delta-based, so repeated Run() calls never double-count).
   void FoldShardCounters();

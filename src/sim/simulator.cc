@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/sim/logging.h"
 #include "src/sim/parallel/thread_domain.h"
 
 namespace apiary {
@@ -75,7 +76,23 @@ void Simulator::Step() {
   ++executed_cycles_;
   if (skip_enabled_) {
     sched_.AdvanceBoundary(now_);
+    if (audit_enabled_) {
+      Audit(sched_);
+    }
   }
+}
+
+void Simulator::Audit(const ActiveSchedule& sched) {
+  const Clocked* first = nullptr;
+  const size_t missed = sched.CountMissedWakes(now_, &first);
+  if (missed == 0) {
+    return;
+  }
+  if (audit_violations_ == 0) {
+    audit_first_violation_ = first->DebugName() + " at cycle " + std::to_string(now_);
+    APIARY_LOG(kError) << "audit: missed wake: " << audit_first_violation_;
+  }
+  audit_violations_ += missed;
 }
 
 void Simulator::SkipAhead(Cycle limit) {
@@ -98,6 +115,9 @@ void Simulator::SkipAhead(Cycle limit) {
   }
   target = std::min(target, limit);
   JumpTo(target);
+  if (audit_enabled_) {
+    Audit(sched_);
+  }
 }
 
 void Simulator::JumpTo(Cycle target) {

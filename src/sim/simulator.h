@@ -4,6 +4,7 @@
 #define SRC_SIM_SIMULATOR_H_
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "src/sim/active_schedule.h"
@@ -89,6 +90,18 @@ class Simulator {
   // are no-ops).
   void SetSkipEnabled(bool enabled);
 
+  // Audit mode, for tests and CI: after every executed cycle (and every
+  // fast-forward) re-polls each parked kActiveSet block and records a
+  // violation for any whose NextActivity(now) <= now — a block with work
+  // that no wake put back on the active list. Such a block would silently
+  // skip ticks it owes; the reference engine would have run them. Checks
+  // the optimized engine only (the reference engine parks nothing). Off by
+  // default; when off it costs one untaken branch per executed cycle.
+  void SetAuditEnabled(bool enabled) { audit_enabled_ = enabled; }
+  uint64_t audit_violations() const { return audit_violations_; }
+  // "<block> at cycle <c>" for the first violation; empty when none.
+  const std::string& audit_first_violation() const { return audit_first_violation_; }
+
   // Forwards to SetSkipEnabled; kept because perfbench/src/workloads.cc
   // builds its oracle run with it.
   void SetActiveSetEnabled(bool enabled) { SetSkipEnabled(enabled); }
@@ -134,11 +147,16 @@ class Simulator {
   // post-jump boundary re-establishment.
   void JumpTo(Cycle target);
   void ApplyPendingRemovals();
+  // Audit mode: checks `sched` at the boundary of now_ (see SetAuditEnabled).
+  void Audit(const ActiveSchedule& sched);
 
   SimContext context_;
   double frequency_mhz_;
   Cycle now_ = 0;
   bool skip_enabled_ = true;
+  bool audit_enabled_ = false;
+  uint64_t audit_violations_ = 0;
+  std::string audit_first_violation_;
   // Set while a parallel engine drives this simulator: new registrations
   // start ticking next cycle even when made from an event callback (the
   // engine classifies them at the top of the next cycle, unlike Step()'s

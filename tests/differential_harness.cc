@@ -1,4 +1,4 @@
-// The differential harness (see tests/differential_harness.h): four
+// The differential harness (see tests/differential_harness.h): five
 // workloads, each run in a chosen engine mode and compared with its
 // reference run.
 #include <gtest/gtest.h>
@@ -8,9 +8,14 @@
 #include <string>
 #include <vector>
 
+#include "src/accel/checksum.h"
 #include "src/accel/echo.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
+#include "src/orch/autoscaler.h"
+#include "src/orch/placer.h"
+#include "src/orch/reconfig_scheduler.h"
+#include "src/services/load_balancer.h"
 #include "src/services/supervisor.h"
 #include "src/sim/logging.h"
 #include "src/sim/parallel/parallel_simulator.h"
@@ -35,6 +40,7 @@ const char* ModeName(Mode mode) {
 
 void ApplyMode(TestBoard& tb, Mode mode) {
   tb.sim.SetSkipEnabled(mode != Mode::kReference);
+  tb.sim.SetAuditEnabled(true);
   tb.board.mesh().SetExpressEnabled(mode == Mode::kExpress);
 }
 
@@ -118,6 +124,56 @@ class PeriodicClient : public Accelerator {
 
 constexpr uint64_t kUnlimited = 1'000'000;
 
+// Open-loop checksum client with a stepped rate: one 64 B request every
+// `base_period` cycles, every `burst_period` cycles inside [burst_from,
+// burst_to) — an a10-shaped quiet / burst / quiet trace in miniature.
+class SteppedChecksumClient : public Accelerator {
+ public:
+  SteppedChecksumClient(ServiceId svc, Cycle base_period, Cycle burst_period, Cycle burst_from,
+                        Cycle burst_to)
+      : svc_(svc),
+        base_period_(base_period),
+        burst_period_(burst_period),
+        burst_from_(burst_from),
+        burst_to_(burst_to) {}
+
+  void Tick(TileApi& api) override {
+    if (api.now() < next_) {
+      return;
+    }
+    Message msg;
+    msg.opcode = kOpChecksum;
+    msg.payload.assign(64, static_cast<uint8_t>(sent));
+    if (api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
+      ++sent;
+    }
+    const bool burst = api.now() >= burst_from_ && api.now() < burst_to_;
+    next_ = api.now() + (burst ? burst_period_ : base_period_);
+  }
+  void OnMessage(const Message& msg, TileApi& api) override {
+    (msg.status == MsgStatus::kOk ? ok : errors) += 1;
+    reply_cycle_sum += api.now();
+  }
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return next_ > now ? next_ : now;
+  }
+  std::string name() const override { return "stepped_checksum_client"; }
+  uint32_t LogicCellCost() const override { return 1000; }
+
+  uint64_t sent = 0;
+  uint64_t ok = 0;
+  uint64_t errors = 0;
+  uint64_t reply_cycle_sum = 0;
+
+ private:
+  ServiceId svc_;
+  Cycle base_period_;
+  Cycle burst_period_;
+  Cycle burst_from_;
+  Cycle burst_to_;
+  Cycle next_ = 0;
+};
+
 DeployOptions Pin(TileId tile) {
   DeployOptions o;
   o.tile = tile;
@@ -135,6 +191,8 @@ void CollectBoard(RunResult& r, TestBoard& tb) {
   r.end_cycle = tb.sim.now();
   r.skipped_cycles = tb.sim.skipped_cycles();
   r.skips = tb.sim.skips();
+  r.audit_violations = tb.sim.audit_violations();
+  r.audit_first_violation = tb.sim.audit_first_violation();
   Mesh& mesh = tb.board.mesh();
   r.flits = mesh.TotalFlitsRouted();
   r.handed_off = mesh.BoundaryFlitsHandedOff();
@@ -169,6 +227,8 @@ void ExpectSameSimulation(const RunResult& run, const RunResult& ref, const std:
   EXPECT_EQ(run.tenant_counters, ref.tenant_counters) << label;
   EXPECT_EQ(run.billing_a, ref.billing_a) << label;
   EXPECT_EQ(run.billing_b, ref.billing_b) << label;
+  EXPECT_EQ(run.orch_counters, ref.orch_counters) << label;
+  EXPECT_EQ(run.replica_tile_cycles, ref.replica_tile_cycles) << label;
   EXPECT_EQ(run.digest_a, ref.digest_a) << label;
   EXPECT_EQ(run.digest_b, ref.digest_b) << label;
   EXPECT_TRUE(run.trace == ref.trace) << label << ": debug trace diverged";
@@ -191,6 +251,7 @@ RunResult CheckModes(const Workload& workload, const std::vector<Mode>& modes,
       const std::string label = std::string(ModeName(mode)) + " threads=" + std::to_string(t);
       const RunResult run = workload(mode, t);
       ExpectSameSimulation(run, ref, label);
+      EXPECT_EQ(run.audit_violations, 0u) << label << ": " << run.audit_first_violation;
       if (mode == Mode::kReference) {
         EXPECT_EQ(run.skipped_cycles, 0u) << label;
         EXPECT_EQ(run.skips, 0u) << label;
@@ -417,6 +478,86 @@ RunResult RunMidCorridorUndeploy(Mode mode, uint32_t /*threads*/) {
   }
   r.trace = std::move(capture.root);
   return r;
+}
+
+// A10 in miniature: checksum replicas behind the load balancer, an
+// SLO-latency autoscaler that scales up into a request burst and back down
+// after it, and the reconfiguration scheduler loading replicas through the
+// ICAP and draining them before blanking. Between polls the autoscaler,
+// the scheduler (mid-load and mid-drain-hold) and the idle replicas are all
+// parked, so the replica set changes on cycles the optimized engine reaches
+// by fast-forward.
+RunResult RunElasticService(Mode mode, uint32_t /*threads*/) {
+  RunResult r;
+  TraceCapture capture;
+  {
+    TestBoardOptions options;
+    options.reconfig_cycles = 2'000;
+    TestBoard tb(options);
+    ApplyMode(tb, mode);
+
+    const AppId app = tb.os.CreateApp("elastic");
+    auto* lb = new LoadBalancer();
+    ServiceId lb_svc = 0;
+    const TileId lb_tile = tb.os.Deploy(app, std::unique_ptr<Accelerator>(lb), &lb_svc);
+    auto factory = [] { return std::make_unique<ChecksumAccelerator>(/*bytes_per_cycle=*/1); };
+    ServiceId first_svc = 0;
+    const TileId first_tile = tb.os.Deploy(app, factory(), &first_svc);
+    const CapRef first_ep = tb.os.GrantSendToService(lb_tile, first_svc);
+    lb->AddBackend(first_ep);
+    auto* client = new SteppedChecksumClient(lb_svc, /*base_period=*/400, /*burst_period=*/40,
+                                             /*burst_from=*/30'000, /*burst_to=*/90'000);
+    const TileId ct = tb.os.Deploy(app, std::unique_ptr<Accelerator>(client));
+    (void)tb.os.GrantSendToService(ct, lb_svc);
+
+    Placer placer(&tb.os);
+    ReconfigSchedulerConfig rcfg;
+    rcfg.drain_cycles = 500;
+    rcfg.drain_deadline_cycles = 20'000;
+    ReconfigScheduler scheduler(&tb.os, app, rcfg);
+    AutoscalerConfig acfg;
+    acfg.policy = ScalePolicy::kSloLatency;
+    acfg.min_replicas = 1;
+    acfg.max_replicas = 4;
+    acfg.poll_period = 2'000;
+    acfg.slo_p99_cycles = 1'000;
+    acfg.slo_down_fraction = 0.45;
+    acfg.down_stable_polls = 2;
+    acfg.cooldown_cycles = 10'000;
+    acfg.replica_logic_cells = 4'000;
+    Autoscaler autoscaler(&tb.os, lb, lb_tile, app, factory, &placer, &scheduler, acfg);
+    autoscaler.AdoptReplica(first_svc, first_tile, first_ep);
+
+    tb.sim.Run(100'000);
+    // A mid-run read folds the integral's open segment without changing it.
+    const uint64_t mid_integral = autoscaler.replica_tile_cycles();
+    tb.sim.Run(100'000);
+
+    CollectBoard(r, tb);
+    r.client_sent = client->sent;
+    r.client_ok = client->ok;
+    r.client_errors = client->errors;
+    r.reply_cycle_sum = client->reply_cycle_sum;
+    r.orch_counters = autoscaler.counters().ToString() + scheduler.counters().ToString() +
+                      lb->counters().ToString() + " mid_integral=" + std::to_string(mid_integral);
+    r.replica_tile_cycles = autoscaler.replica_tile_cycles();
+  }
+  r.trace = std::move(capture.root);
+  return r;
+}
+
+void ExpectElasticServiceIsReal(const RunResult& ref) {
+  EXPECT_EQ(ref.end_cycle, 200'000u);
+  EXPECT_GT(ref.client_ok, 1'500u);
+  EXPECT_EQ(ref.client_errors, 0u);
+  EXPECT_NE(ref.orch_counters.find("orch.scale_ups="), std::string::npos) << ref.orch_counters;
+  EXPECT_NE(ref.orch_counters.find("orch.scale_downs="), std::string::npos)
+      << ref.orch_counters;
+  EXPECT_NE(ref.orch_counters.find("orch.teardowns_done="), std::string::npos)
+      << ref.orch_counters;
+  // More than one replica's worth of region-cycles, fewer than the ceiling's.
+  EXPECT_GT(ref.replica_tile_cycles, 200'000u);
+  EXPECT_LT(ref.replica_tile_cycles, 4 * 200'000u);
 }
 
 void ExpectShardedBoardIsReal(const RunResult& ref) {

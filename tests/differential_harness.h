@@ -1,28 +1,35 @@
 // Differential determinism: every engine configuration must be invisible to
 // the simulation. The oracle is the reference engine (SetSkipEnabled(false):
 // every block ticked every cycle, no fast-forward, no express corridors).
-// Four workloads run here: serial IPC, serial chaos, the sharded 8x8 board
-// and a mid-corridor undeploy. Each test runs a workload in the modes and
+// Five workloads run here: serial IPC, serial chaos, the sharded 8x8 board,
+// a mid-corridor undeploy and an elastic (autoscaled) service. Each test
+// runs a workload in the modes and
 // at the thread counts it names, and every run must match the workload's
 // reference run at threads=1 byte for byte: end cycle, debug trace,
-// mesh/monitor/injector/supervisor/tenant counters, latency summary, fault
-// records, billing records and digests, and boundary handoff/clone counts.
+// mesh/monitor/injector/supervisor/tenant/orchestration counters, latency
+// summary, fault records, billing records and digests, the autoscaler's
+// region-cycle integral, and boundary handoff/clone counts.
+//
+// Every run has audit mode on (Simulator::SetAuditEnabled): no parked block
+// may ever hold work, at any thread count.
 //
 // The engine's own observables are checked on top: the reference run never
 // skips; every optimized and express run skips exactly the recorded number
 // of cycles in exactly the recorded number of jumps; express runs launch
 // corridors (with the same lane stats at every thread count) and the others
-// launch none. The skip constants were recorded with the O(N) NextActivity
-// sweep the active set replaced, so they pin the active set's skip targets
-// to the brute-force minimum.
+// launch none. The skip constants of the first four workloads were recorded
+// with the O(N) NextActivity sweep the active set replaced, so they pin the
+// active set's skip targets to the brute-force minimum; the elastic
+// workload's were recorded with the active set (sim_test's probe zoo checks
+// every jump against the brute-force minimum).
 //
 // The suites split the (workload, mode, threads) grid between them, each
 // combination run once:
-//   skip_differential_test        serial IPC and chaos, optimized
+//   skip_differential_test        serial IPC, chaos and elastic, optimized
 //   active_set_differential_test  sharded board, optimized, threads 1
 //   parallel_differential_test    sharded board, reference and
 //                                 optimized, threads 2/4
-//   express_differential_test     all four workloads, express (sharded
+//   express_differential_test     all five workloads, express (sharded
 //                                 board at threads 1/2/4), plus the
 //                                 undeploy workload optimized
 // Run under TSan in CI, the sharded-board suites are also the data-race
@@ -62,6 +69,8 @@ struct RunResult {
   std::string tenant_counters;
   std::string billing_a;
   std::string billing_b;
+  std::string orch_counters;  // Autoscaler, reconfiguration scheduler, balancer.
+  uint64_t replica_tile_cycles = 0;
   uint32_t digest_a = 0;
   uint32_t digest_b = 0;
   std::string trace;  // Process-wide trace, then shard traces in shard order.
@@ -69,6 +78,8 @@ struct RunResult {
   uint64_t skipped_cycles = 0;
   uint64_t skips = 0;
   ExpressStats express;
+  uint64_t audit_violations = 0;
+  std::string audit_first_violation;
 };
 
 // What the optimized engine must report on top of matching the reference.
@@ -92,15 +103,18 @@ RunResult RunSerialIpc(Mode mode, uint32_t threads);
 RunResult RunSerialChaos(Mode mode, uint32_t threads);
 RunResult RunShardedBoard(Mode mode, uint32_t threads);
 RunResult RunMidCorridorUndeploy(Mode mode, uint32_t threads);
+RunResult RunElasticService(Mode mode, uint32_t threads);
 
 // Skip counts per workload, recorded with the O(N) NextActivity sweep.
 inline constexpr EngineExpectations kSerialIpcEngine{196'800, 800, 0};
 inline constexpr EngineExpectations kSerialChaosEngine{138'530, 2'792, 100};
 inline constexpr EngineExpectations kShardedBoardEngine{5'183, 2'242, 50};
 inline constexpr EngineExpectations kMidCorridorUndeployEngine{5'588, 185, 0};
+inline constexpr EngineExpectations kElasticServiceEngine{145'980, 5'375, 0};
 
 // "The scenario is real" checks on a workload's reference run.
 void ExpectShardedBoardIsReal(const RunResult& ref);
+void ExpectElasticServiceIsReal(const RunResult& ref);
 
 }  // namespace apiary::differential
 

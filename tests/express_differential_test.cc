@@ -36,5 +36,10 @@ TEST(ExpressDifferentialTest, UndeployOnCorridorMatchesNoExpress) {
   EXPECT_GT(ref.client_ok, 0u);
 }
 
+TEST(ExpressDifferentialTest, ElasticServiceMatchesNoExpressByteForByte) {
+  ExpectElasticServiceIsReal(
+      CheckModes(RunElasticService, {Mode::kExpress}, {1}, kElasticServiceEngine));
+}
+
 }  // namespace
 }  // namespace apiary::differential

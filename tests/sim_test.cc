@@ -6,11 +6,17 @@
 #include <set>
 #include <vector>
 
+#include "src/accel/checksum.h"
 #include "src/baseline/raw_queue.h"
+#include "src/orch/autoscaler.h"
+#include "src/orch/placer.h"
+#include "src/orch/reconfig_scheduler.h"
+#include "src/services/load_balancer.h"
 #include "src/sim/crc32.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
+#include "tests/test_util.h"
 
 namespace apiary {
 namespace {
@@ -761,6 +767,169 @@ TEST(SimulatorTest, PolicyRefreshMidRunIsFollowed) {
   sim.Run(5);
   // Back to parkable: at most the conservative re-activation tick.
   EXPECT_LE(block.ticked_at.size(), parked_ticks + 5 + 1);
+}
+
+// --- The autoscaler's lazily folded region-cycle integral. ---
+
+// One checksum replica behind a balancer, an idle board, and an autoscaler
+// whose bounds are raised at cycle 10'000: the 12'000 poll must scale up.
+// Between polls every block is parked, so the scale-up (queued at a poll,
+// loaded through the ICAP and landing when the bitstream completes) is
+// reached by fast-forward in the optimized engine.
+struct IdleElasticBoard {
+  IdleElasticBoard() : tb(Options()) {
+    const AppId app = tb.os.CreateApp("elastic");
+    lb = new LoadBalancer();
+    ServiceId lb_svc = 0;
+    const TileId lb_tile = tb.os.Deploy(app, std::unique_ptr<Accelerator>(lb), &lb_svc);
+    auto factory = [] { return std::make_unique<ChecksumAccelerator>(); };
+    ServiceId svc = 0;
+    const TileId tile = tb.os.Deploy(app, factory(), &svc);
+    const CapRef ep = tb.os.GrantSendToService(lb_tile, svc);
+    lb->AddBackend(ep);
+    placer = std::make_unique<Placer>(&tb.os);
+    scheduler = std::make_unique<ReconfigScheduler>(&tb.os, app);
+    AutoscalerConfig acfg;
+    acfg.min_replicas = 1;
+    acfg.max_replicas = 2;
+    acfg.poll_period = 4'000;
+    acfg.replica_logic_cells = 4'000;
+    autoscaler = std::make_unique<Autoscaler>(&tb.os, lb, lb_tile, app, factory, placer.get(),
+                                              scheduler.get(), acfg);
+    autoscaler->AdoptReplica(svc, tile, ep);
+  }
+  static TestBoardOptions Options() {
+    TestBoardOptions options;
+    options.reconfig_cycles = 3'001;  // Lands between polls.
+    return options;
+  }
+
+  TestBoard tb;
+  LoadBalancer* lb = nullptr;
+  std::unique_ptr<Placer> placer;
+  std::unique_ptr<ReconfigScheduler> scheduler;
+  std::unique_ptr<Autoscaler> autoscaler;
+};
+
+TEST(SimulatorSkipTest, AutoscalerIntegralMatchesAcrossScaleUpLandingMidSkip) {
+  // Readings at every run boundary, optimized vs reference.
+  auto run = [](bool skip, uint64_t* skipped) {
+    IdleElasticBoard b;
+    b.tb.sim.SetSkipEnabled(skip);
+    b.tb.sim.SetAuditEnabled(true);
+    std::vector<uint64_t> readings;
+    b.tb.sim.Run(10'000);
+    readings.push_back(b.autoscaler->replica_tile_cycles());
+    b.autoscaler->SetBounds(2, 2);
+    for (int i = 0; i < 6; ++i) {
+      b.tb.sim.Run(1'333);  // Run boundaries fall inside skipped windows.
+      readings.push_back(b.autoscaler->replica_tile_cycles());
+    }
+    b.tb.sim.Run(20'000);
+    readings.push_back(b.autoscaler->replica_tile_cycles());
+    EXPECT_EQ(b.autoscaler->scale_ups(), 1u);
+    EXPECT_EQ(b.autoscaler->live_replicas(), 2u);
+    EXPECT_EQ(b.tb.sim.audit_violations(), 0u) << b.tb.sim.audit_first_violation();
+    *skipped = b.tb.sim.skipped_cycles();
+    return readings;
+  };
+  uint64_t skipped_ref = 0;
+  uint64_t skipped_opt = 0;
+  const std::vector<uint64_t> ref = run(false, &skipped_ref);
+  const std::vector<uint64_t> opt = run(true, &skipped_opt);
+  EXPECT_EQ(opt, ref);
+  EXPECT_EQ(skipped_ref, 0u);
+  EXPECT_GT(skipped_opt, 30'000u);
+  // One region until the 12'000 poll, two (loading, then live) after it.
+  EXPECT_EQ(ref.front(), 10'000u);
+  EXPECT_EQ(ref.back(), 12'001u + 2 * (10'000u + 6 * 1'333u + 20'000u - 12'001u));
+}
+
+// --- Audit mode. ---
+
+// A test-only accelerator with the classic missed-wake bug: work handed to
+// it from outside its tile (Push) lands behind the parked tile's back. Its
+// declaration is honest — active while work is queued — but nothing ends
+// the kNoActivity park it took while idle, unless the push rings the
+// doorbell.
+class PushedWorker : public Accelerator {
+ public:
+  explicit PushedWorker(bool doorbell) : doorbell_(doorbell) {}
+
+  void Push() {
+    ++queued_;
+    if (doorbell_ && api_ != nullptr) {
+      api_->RequestTick();
+    }
+  }
+  void Tick(TileApi& api) override {
+    api_ = &api;
+    if (queued_ > 0) {
+      --queued_;
+      done_at.push_back(api.now());
+    }
+  }
+  void OnMessage(const Message& msg, TileApi& api) override {
+    (void)msg;
+    (void)api;
+  }
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    return queued_ > 0 ? now : kNoActivity;
+  }
+  std::string name() const override { return "pushed_worker"; }
+
+  std::vector<Cycle> done_at;
+
+ private:
+  bool doorbell_;
+  TileApi* api_ = nullptr;
+  uint32_t queued_ = 0;
+};
+
+struct PushedWorkerRun {
+  std::vector<Cycle> done_at;
+  uint64_t violations = 0;
+  std::string first;
+};
+
+PushedWorkerRun RunPushedWorker(bool skip, bool audit, bool doorbell) {
+  TestBoard tb;
+  tb.sim.SetSkipEnabled(skip);
+  tb.sim.SetAuditEnabled(audit);
+  auto* worker = new PushedWorker(doorbell);
+  const AppId app = tb.os.CreateApp("audit");
+  (void)tb.os.Deploy(app, std::unique_ptr<Accelerator>(worker));
+  tb.sim.Run(100);  // Boots, then parks idle.
+  worker->Push();
+  worker->Push();
+  tb.sim.Run(100);
+  return PushedWorkerRun{worker->done_at, tb.sim.audit_violations(),
+                         tb.sim.audit_first_violation()};
+}
+
+TEST(SimulatorAuditTest, CatchesParkedBlockHoldingWork) {
+  // The reference engine does the pushed work on the next two cycles; the
+  // optimized engine never ticks the parked tile again.
+  const PushedWorkerRun ref = RunPushedWorker(/*skip=*/false, /*audit=*/true, false);
+  EXPECT_EQ(ref.done_at, (std::vector<Cycle>{100, 101}));
+  EXPECT_EQ(ref.violations, 0u);  // The reference engine parks nothing.
+  const PushedWorkerRun bug = RunPushedWorker(/*skip=*/true, /*audit=*/true, false);
+  EXPECT_TRUE(bug.done_at.empty());
+  EXPECT_GT(bug.violations, 0u);
+  EXPECT_NE(bug.first.find("pushed_worker at cycle 101"), std::string::npos) << bug.first;
+}
+
+TEST(SimulatorAuditTest, DoorbellFixesTheMissedWakeAndAuditStaysClean) {
+  const PushedWorkerRun fixed = RunPushedWorker(/*skip=*/true, /*audit=*/true, true);
+  EXPECT_EQ(fixed.done_at, (std::vector<Cycle>{100, 101}));
+  EXPECT_EQ(fixed.violations, 0u) << fixed.first;
+}
+
+TEST(SimulatorAuditTest, OffByDefaultAndRecordsNothing) {
+  const PushedWorkerRun bug = RunPushedWorker(/*skip=*/true, /*audit=*/false, false);
+  EXPECT_TRUE(bug.done_at.empty());
+  EXPECT_EQ(bug.violations, 0u);
+  EXPECT_TRUE(bug.first.empty());
 }
 
 }  // namespace

@@ -22,5 +22,11 @@ TEST(SkipDifferentialTest, ChaosScenarioMatchesNoSkipByteForByte) {
   EXPECT_GT(ref.client_ok + ref.client_errors, 0u);
 }
 
+TEST(SkipDifferentialTest, ElasticScenarioMatchesNoSkipByteForByte) {
+  const RunResult ref =
+      CheckModes(RunElasticService, {Mode::kOptimized}, {1}, kElasticServiceEngine);
+  ExpectElasticServiceIsReal(ref);
+}
+
 }  // namespace
 }  // namespace apiary::differential

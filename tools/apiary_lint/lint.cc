@@ -437,9 +437,11 @@ LintConfig DefaultConfig() {
   // Router, NI and monitor bump counters per flit or per message.
   config.interned_counter_files = {"src/noc/router.cc", "src/noc/network_interface.cc",
                                    "src/core/monitor.cc"};
-  // Router, NI, monitor and echo queue a flit or a message per event.
-  config.per_message_fifo_prefixes = {"src/noc/router.", "src/noc/network_interface.",
-                                      "src/core/monitor.", "src/accel/echo."};
+  // Router, NI, monitor and the echo, checksum and KV accelerators queue a
+  // flit or a message per event.
+  config.per_message_fifo_prefixes = {"src/noc/router.",   "src/noc/network_interface.",
+                                      "src/core/monitor.", "src/accel/echo.",
+                                      "src/accel/checksum.", "src/accel/kv_store."};
 
   // src/sim/clocked.h rides along for quiescence hygiene: an ignored
   // NextActivity() result means a computed wake-up cycle was dropped on the
@@ -1519,6 +1521,84 @@ void CheckWakePath(const std::vector<SourceFile>& files, const LintConfig& confi
   }
 }
 
+void CheckTickWithoutNextActivity(const SourceFile& file, std::vector<Finding>* findings) {
+  // The other half of the wake path: a block that never declares its
+  // quiescence inherits NextActivity's `return now` and is ticked on every
+  // executed cycle — a pinned tile nobody asked for. Flags every direct
+  // Clocked or Accelerator subclass under src/ whose body declares a Tick
+  // override but no NextActivity.
+  if (!StartsWith(file.path, "src/")) {
+    return;
+  }
+  std::string text;
+  std::vector<size_t> line_start;
+  for (const auto& line : file.code_lines) {
+    line_start.push_back(text.size());
+    text += line;
+    text.push_back('\n');
+  }
+  auto line_of = [&](size_t offset) {
+    const auto it = std::upper_bound(line_start.begin(), line_start.end(), offset);
+    return static_cast<int>(it - line_start.begin());
+  };
+  size_t pos = 0;
+  while ((pos = text.find("class ", pos)) != std::string::npos) {
+    const size_t head_start = pos;
+    pos += 6;
+    if (head_start > 0 && IsIdentChar(text[head_start - 1])) {
+      continue;
+    }
+    const size_t body_open = text.find_first_of("{;", head_start);
+    if (body_open == std::string::npos || text[body_open] == ';') {
+      continue;
+    }
+    const std::string head = text.substr(head_start, body_open - head_start);
+    const size_t colon = head.find(':');
+    if (colon == std::string::npos ||
+        (FindIdentifier(head.substr(colon + 1), "Clocked").empty() &&
+         FindIdentifier(head.substr(colon + 1), "Accelerator").empty())) {
+      continue;
+    }
+    int depth = 0;
+    size_t body_end = body_open;
+    for (size_t i = body_open; i < text.size(); ++i) {
+      if (text[i] == '{') {
+        ++depth;
+      } else if (text[i] == '}' && --depth == 0) {
+        body_end = i;
+        break;
+      }
+    }
+    const std::string body = text.substr(body_open, body_end - body_open);
+    // A Tick override is declared as `void Tick(`; calls (`dram_.Tick(`)
+    // inside inline bodies do not count.
+    bool overrides_tick = false;
+    for (const size_t at : FindIdentifier(body, "Tick")) {
+      size_t before = at;
+      while (before > 0 && (body[before - 1] == ' ' || body[before - 1] == '\t')) {
+        --before;
+      }
+      size_t after = at + 4;
+      while (after < body.size() && body[after] == ' ') {
+        ++after;
+      }
+      if (before >= 4 && body.compare(before - 4, 4, "void") == 0 && after < body.size() &&
+          body[after] == '(') {
+        overrides_tick = true;
+        break;
+      }
+    }
+    if (overrides_tick && FindIdentifier(body, "NextActivity").empty()) {
+      findings->push_back(
+          {file.path, line_of(head_start), "apiary-wake-path",
+           "overrides Tick without NextActivity: the inherited `return now` keeps the "
+           "block active on every executed cycle; declare when its Tick next matters "
+           "(idle until input, or a deadline) — or, if it must run every cycle, say "
+           "why in a NOLINT(apiary-wake-path) reason"});
+    }
+  }
+}
+
 std::vector<Finding> RunAllChecks(const std::vector<SourceFile>& files,
                                   const LintConfig& config) {
   std::vector<Finding> raw;
@@ -1527,6 +1607,7 @@ std::vector<Finding> RunAllChecks(const std::vector<SourceFile>& files,
     CheckLayering(file, config, &raw);
     CheckIncludeGuard(file, config, &raw);
     CheckDebugName(file, config, &raw);
+    CheckTickWithoutNextActivity(file, &raw);
     CheckNodiscard(file, config, &raw);
     CheckHotPath(file, config, &raw);
     CheckGlobalState(file, config, &raw);

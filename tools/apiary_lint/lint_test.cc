@@ -266,12 +266,14 @@ TEST(DebugName, RequiresOverrideInClockedSubclass) {
       "class Ticker : public Clocked {\n"
       " public:\n"
       "  void Tick(Cycle now) override;\n"
+      "  Cycle NextActivity(Cycle now) const override;\n"
       "  std::string DebugName() const override { return \"ticker\"; }\n"
       "};\n";
   const std::string bad =
       "class Ticker : public Clocked {\n"
       " public:\n"
       "  void Tick(Cycle now) override;\n"
+      "  Cycle NextActivity(Cycle now) const override;\n"
       "};\n";
   EXPECT_TRUE(LintOne("src/sim/t.cc", good).empty());
   const auto findings = LintOne("src/sim/t.cc", bad);
@@ -458,8 +460,9 @@ TEST(HotPath, InternedCounterFilesBanLiteralBumps) {
 }
 
 TEST(HotPath, PerMessageFilesBanDeque) {
-  for (const char* path : {"src/noc/router.cc", "src/noc/network_interface.cc",
-                           "src/core/monitor.cc", "src/accel/echo.cc"}) {
+  for (const char* path :
+       {"src/noc/router.cc", "src/noc/network_interface.cc", "src/core/monitor.cc",
+        "src/accel/echo.cc", "src/accel/checksum.cc", "src/accel/kv_store.cc"}) {
     const auto findings = LintOne(path,
                                   "#include <deque>\n"
                                   "class Q {\n"
@@ -474,7 +477,7 @@ TEST(HotPath, PerMessageFilesBanDeque) {
 }
 
 TEST(HotPath, DequeOutsidePerMessageFilesIsAllowed) {
-  EXPECT_TRUE(LintOne("src/accel/checksum.cc",
+  EXPECT_TRUE(LintOne("src/accel/compressor.cc",
                       "class C {\n"
                       "  std::deque<Job> jobs_;\n"
                       "};\n")
@@ -987,6 +990,9 @@ TEST(Fixtures, GoodTreesAreCleanBadTreesFail) {
       {"wakepath/good", {"src"}, 0, ""},
       {"wakepath/bad", {"src"}, 1, "apiary-wake-path"},
       {"wakepath/suppressed", {"src"}, 0, ""},
+      {"tickpin/good", {"src"}, 0, ""},
+      {"tickpin/bad", {"src"}, 1, "apiary-wake-path"},
+      {"tickpin/suppressed", {"src"}, 0, ""},
       {"nolintreason/bad", {"src"}, 1, "apiary-nolint-reason"},
   };
   for (const auto& c : cases) {
@@ -1007,6 +1013,32 @@ TEST(Fixtures, OpcodeBadNamesBothGaps) {
   EXPECT_NE(output.find("kOpOrphan has no dispatching handler"), std::string::npos)
       << output;
   EXPECT_NE(output.find("kOpOrphan is never referenced under tests/"), std::string::npos)
+      << output;
+}
+
+TEST(Fixtures, TickWithoutNextActivityFlagsAcceleratorAndClockedSubclasses) {
+  std::string output;
+  const int exit_code = RunLintBinary("tickpin/bad", {"src"}, &output);
+  EXPECT_EQ(exit_code, 1) << output;
+  EXPECT_NE(output.find("src/accel/pinned.h:15: [apiary-wake-path] overrides Tick without "
+                        "NextActivity"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("src/accel/pinned.h:25: [apiary-wake-path] overrides Tick without "
+                        "NextActivity"),
+            std::string::npos)
+      << output;
+}
+
+TEST(Fixtures, PerMessageDequeFlaggedInChecksumAndKvStore) {
+  std::string output;
+  const int exit_code = RunLintBinary("hotpath/bad", {"src"}, &output);
+  EXPECT_EQ(exit_code, 1) << output;
+  EXPECT_NE(output.find("src/accel/checksum.h:12: [apiary-hot-path] std::deque"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("src/accel/kv_store.cc:9: [apiary-hot-path] std::deque"),
+            std::string::npos)
       << output;
 }
 

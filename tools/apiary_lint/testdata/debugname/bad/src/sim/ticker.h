@@ -10,6 +10,7 @@ namespace apiary {
 class Ticker : public Clocked {
  public:
   void Tick(Cycle now) override;
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override;
 };
 
 }  // namespace apiary

@@ -11,6 +11,7 @@ namespace apiary {
 class Ticker : public Clocked {
  public:
   void Tick(Cycle now) override;
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override;
   std::string DebugName() const override { return "ticker"; }
 };
 
