@@ -10,11 +10,6 @@ namespace {
 static_assert(kMessageHeaderBytes <= kPacketHeadBytes,
               "message header must fit the packet head-flit region");
 
-// Benchmark ablation toggle (bench/b2 --legacy-alloc): set once before a
-// run starts, never written while any simulator is running.
-// APIARY-SHARED(process): read-only during runs; per-domain copies would change the ablation's meaning.
-bool g_legacy_alloc_mode = false;
-
 void StoreU16(uint8_t* p, uint16_t v) {
   p[0] = static_cast<uint8_t>(v);
   p[1] = static_cast<uint8_t>(v >> 8);
@@ -192,34 +187,13 @@ const char* MsgStatusName(MsgStatus status) {
 
 size_t Message::WireBytes() const { return kMessageHeaderBytes + payload.size(); }
 
-void SetMessageLegacyAllocMode(bool legacy) { g_legacy_alloc_mode = legacy; }
-
-bool MessageLegacyAllocMode() { return g_legacy_alloc_mode; }
-
 void SerializeMessageInto(Message&& msg, NocPacket& packet) {
-  if (g_legacy_alloc_mode) {
-    // Ablation path: materialize the contiguous wire copy (heap vector +
-    // full payload memcpy), like the pre-pool implementation did.
-    const std::vector<uint8_t> wire = SerializeMessage(msg);
-    packet.head_len = static_cast<uint16_t>(kMessageHeaderBytes);
-    std::memcpy(packet.head.data(), wire.data(), kMessageHeaderBytes);
-    packet.payload.assign(wire.data() + kMessageHeaderBytes,
-                          wire.size() - kMessageHeaderBytes);
-    return;
-  }
   packet.head_len = static_cast<uint16_t>(kMessageHeaderBytes);
   WriteHeader(msg, packet.head.data());
   packet.payload = std::move(msg.payload);
 }
 
 std::optional<Message> DeserializeMessage(NocPacket& packet) {
-  if (g_legacy_alloc_mode) {
-    std::vector<uint8_t> wire(packet.wire_bytes());
-    std::memcpy(wire.data(), packet.head.data(), packet.head_len);
-    std::memcpy(wire.data() + packet.head_len, packet.payload.data(),
-                packet.payload.size());
-    return DeserializeMessage(wire);
-  }
   if (packet.head_len == 0) {
     // Hand-built packet (tests, raw injectors): the whole contiguous wire
     // image lives in the payload.

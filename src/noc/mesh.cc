@@ -1,15 +1,9 @@
 #include "src/noc/mesh.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
 
 namespace apiary {
-
-namespace {
-// The port a flit leaving through `out` arrives on downstream.
-constexpr RouterPort kOppositePort[4] = {kPortSouth, kPortNorth, kPortWest, kPortEast};
-}  // namespace
 
 Mesh::Mesh(MeshConfig config, SimContext* context) : config_(config) {
   if (context != nullptr) {
@@ -51,18 +45,15 @@ Mesh::Mesh(MeshConfig config, SimContext* context) : config_(config) {
       }
     }
   }
-  BindLiveLists();
-  express_.Configure(this, n, nullptr, 0);
-}
-
-void Mesh::BindLiveLists() {
-  for (uint32_t t = 0; t < num_tiles(); ++t) {
+  for (uint32_t t = 0; t < n; ++t) {
     routers_[t]->SetLiveList(&live_.fresh_routers);
     nis_[t]->SetLiveList(&live_.fresh_nis);
   }
+  express_.Configure(this, n);
 }
 
-void Mesh::MergeFresh(LiveSet& set) {
+void Mesh::MergeFresh() {
+  LiveSet& set = live_;
   // Entries are unique (the mark gates publication), so append + sort keeps
   // the list sorted ascending — the sweep order of the full loop.
   if (!set.fresh_routers.empty()) {
@@ -77,7 +68,8 @@ void Mesh::MergeFresh(LiveSet& set) {
   }
 }
 
-void Mesh::CompactDead(LiveSet& set) {
+void Mesh::CompactDead() {
+  LiveSet& set = live_;
   size_t kept = 0;
   for (const uint32_t t : set.routers) {
     if (routers_[t]->HasBufferedFlits()) {
@@ -99,14 +91,10 @@ void Mesh::CompactDead(LiveSet& set) {
 }
 
 void Mesh::Tick(Cycle now) {
-  // A partitioned mesh is driven through the ShardCommit/Route/Transfer
-  // phases by the parallel engine; serial ticking would bypass the boundary
-  // shims and double-run the phases.
-  assert(!partitioned() && "partitioned mesh must be driven by ParallelSimulator");
   if (express_enabled_) {
-    ExpressTickTop(express_, live_, now);
+    ExpressTickTop(now);
   }
-  MergeFresh(live_);
+  MergeFresh();
   // Three phases over the busy subset only: commit flits staged last cycle,
   // route one flit per output port per router, then let NIs feed the local
   // input ports (visible next cycle). Staged flits imply occupancy and
@@ -130,7 +118,7 @@ void Mesh::Tick(Cycle now) {
   for (const uint32_t t : live_.nis) {
     nis_[t]->InjectCycle(now);
   }
-  CompactDead(live_);
+  CompactDead();
 }
 
 Cycle Mesh::NextActivity(Cycle now) const {
@@ -141,22 +129,12 @@ Cycle Mesh::NextActivity(Cycle now) const {
   if (express_.AnyActive()) {
     return now;
   }
-  for (const ExpressLane& lane : shard_express_) {
-    if (lane.AnyActive()) {
-      return now;
-    }
-  }
   // The live sets are exact between ticks (marks are published on every
   // idle-to-busy transition, compaction prunes on the drain side), so the
   // busy check is a handful of emptiness tests instead of an O(tiles) scan —
   // and agrees with that scan bit for bit.
   if (LiveBusy(live_)) {
     return now;
-  }
-  for (const LiveSet& set : shard_live_) {
-    if (LiveBusy(set)) {
-      return now;
-    }
   }
   // Empty fabric: only the fault model (stall windows charge a counter every
   // open cycle) can still need per-cycle routing work.
@@ -187,43 +165,20 @@ void Mesh::SetExpressEnabled(bool enabled) {
     MaterializeExpress();
   }
   express_enabled_ = enabled;
-  express_.SetEnabled(enabled && !partitioned());
-  for (ExpressLane& lane : shard_express_) {
-    lane.SetEnabled(enabled);
-  }
-  BindExpressLanes();
-}
-
-void Mesh::BindExpressLanes() {
-  for (uint32_t t = 0; t < num_tiles(); ++t) {
-    ExpressLane* lane = nullptr;
-    if (express_enabled_) {
-      lane = partitioned() ? &shard_express_[partition_.shard_of_tile[t]] : &express_;
-    }
-    nis_[t]->SetExpressLane(lane);
+  express_.SetEnabled(enabled);
+  for (auto& ni : nis_) {
+    ni->SetExpressLane(enabled ? &express_ : nullptr);
   }
 }
 
-void Mesh::MaterializeExpress() {
-  express_.MaterializeAll();
-  for (ExpressLane& lane : shard_express_) {
-    lane.MaterializeAll();
-  }
-}
+void Mesh::MaterializeExpress() { express_.MaterializeAll(); }
 
-ExpressStats Mesh::AggregateExpressStats() const {
-  ExpressStats total = folded_express_;
-  total.Fold(express_.stats());
-  for (const ExpressLane& lane : shard_express_) {
-    total.Fold(lane.stats());
-  }
-  return total;
-}
-
-void Mesh::ExpressTickTop(ExpressLane& lane, LiveSet& set, Cycle now) {
+void Mesh::ExpressTickTop(Cycle now) {
+  ExpressLane& lane = express_;
+  const LiveSet& set = live_;
   lane.RunCompletions(now);
   if (lane.AnyActive()) {
-    // Conflict scan over the domain's busy sets. Index-based with snapshot
+    // Conflict scan over the mesh's busy sets. Index-based with snapshot
     // bounds: materializing a corridor appends its own router/NI marks to
     // the fresh lists, and those can never conflict with the survivors (the
     // path/zone disjointness invariant), so new entries are safely skipped.
@@ -265,6 +220,12 @@ CounterSet Mesh::AggregateCounters() const {
   for (const auto& ni : nis_) {
     total.Merge(ni->counters());
   }
+  uint64_t forwarded = 0;
+  uint64_t ejected = 0;
+  express_.InFlightProgress(&forwarded, &ejected);
+  if (ejected != 0) {
+    total.Add("ni.flits_ejected", ejected);
+  }
   return total;
 }
 
@@ -281,242 +242,16 @@ uint64_t Mesh::TotalFlitsRouted() const {
   for (const auto& r : routers_) {
     total += r->flits_routed();
   }
-  return total;
+  uint64_t forwarded = 0;
+  uint64_t ejected = 0;
+  express_.InFlightProgress(&forwarded, &ejected);
+  return total + forwarded;
 }
 
 uint64_t Mesh::LogicCellCost() const {
   return static_cast<uint64_t>(num_tiles()) *
          (Router::LogicCellCost(config_.router_buffer_depth) +
           NetworkInterface::LogicCellCost());
-}
-
-void Mesh::EnablePartition(const DomainPartition& partition,
-                           std::vector<std::unique_ptr<SimContext>> shard_contexts) {
-  assert(!partitioned());
-  // Corridors hold drained injection queues; flush them back before the
-  // idle asserts below (an active corridor IS in-flight traffic).
-  MaterializeExpress();
-  assert(partition.width == config_.width && partition.height == config_.height);
-  assert(shard_contexts.size() == partition.num_shards);
-  // The fabric must be idle: a packet acquired before the split would be
-  // released into a shard pool it never came from.
-  for (const auto& r : routers_) {
-    assert(!r->HasBufferedFlits() && "EnablePartition on a non-idle mesh");
-    (void)r;
-  }
-  for (const auto& ni : nis_) {
-    assert(!ni->HasPendingInject() && "EnablePartition on a non-idle mesh");
-    (void)ni;
-  }
-
-  partition_ = partition;
-  shard_contexts_ = std::move(shard_contexts);
-  shard_pools_.clear();
-  shard_pools_.reserve(partition_.num_shards);
-  for (const auto& context : shard_contexts_) {
-    shard_pools_.push_back(&PacketPool::ForContext(*context));
-  }
-  // Each tile's senders draw from its shard's pool: packets are born,
-  // routed (except across cuts, where they are cloned), and released inside
-  // one domain — the confinement that lets PacketRef stay non-atomic.
-  for (uint32_t t = 0; t < num_tiles(); ++t) {
-    nis_[t]->SetPool(shard_pools_[partition_.shard_of_tile[t]]);
-  }
-
-  // Per-shard live sets: the idle precondition above guarantees every mark
-  // is clear and the serial lists are empty, so repointing is all it takes.
-  // Sized once here — element addresses stay stable while partitioned.
-  shard_live_.assign(partition_.num_shards, LiveSet{});
-  for (uint32_t t = 0; t < num_tiles(); ++t) {
-    LiveSet& set = shard_live_[partition_.shard_of_tile[t]];
-    routers_[t]->SetLiveList(&set.fresh_routers);
-    nis_[t]->SetLiveList(&set.fresh_nis);
-  }
-
-  // Boundary shims on every directed cut link.
-  shard_out_edges_.assign(partition_.num_shards, {});
-  shard_in_edges_.assign(partition_.num_shards, {});
-  const RouterPort kDirs[4] = {kPortNorth, kPortSouth, kPortEast, kPortWest};
-  for (uint32_t y = 0; y < config_.height; ++y) {
-    for (uint32_t x = 0; x < config_.width; ++x) {
-      const uint32_t t = y * config_.width + x;
-      for (const RouterPort out : kDirs) {
-        const int nx = static_cast<int>(x) + (out == kPortEast ? 1 : out == kPortWest ? -1 : 0);
-        const int ny = static_cast<int>(y) + (out == kPortSouth ? 1 : out == kPortNorth ? -1 : 0);
-        if (nx < 0 || ny < 0 || nx >= static_cast<int>(config_.width) ||
-            ny >= static_cast<int>(config_.height)) {
-          continue;
-        }
-        const uint32_t n = static_cast<uint32_t>(ny) * config_.width + static_cast<uint32_t>(nx);
-        if (partition_.shard_of_tile[t] == partition_.shard_of_tile[n]) {
-          continue;
-        }
-        BoundaryEdge edge;
-        edge.link = std::make_unique<BoundaryLink>(config_.router_buffer_depth);
-        edge.src_router = routers_[t].get();
-        edge.dst_router = routers_[n].get();
-        edge.out_port = out;
-        edge.in_port = kOppositePort[out];
-        edge.src_shard = partition_.shard_of_tile[t];
-        edge.dst_shard = partition_.shard_of_tile[n];
-        edge.src_router->SetOutputBoundary(edge.out_port, edge.link.get());
-        edge.dst_router->SetInputBoundary(edge.in_port, edge.link.get());
-        const uint32_t index = static_cast<uint32_t>(edges_.size());
-        shard_out_edges_[edge.src_shard].push_back(index);
-        shard_in_edges_[edge.dst_shard].push_back(index);
-        edges_.push_back(std::move(edge));
-      }
-    }
-  }
-
-  // One express lane per shard, worker-confined exactly like the LiveSets
-  // (launch/scan/materialize all run inside shard phases; the coordinator
-  // only touches them from the root phase, with workers at their barrier).
-  shard_express_.assign(partition_.num_shards, ExpressLane{});
-  for (uint32_t s = 0; s < partition_.num_shards; ++s) {
-    shard_express_[s].Configure(this, num_tiles(), partition_.shard_of_tile.data(), s);
-    shard_express_[s].SetEnabled(express_enabled_);
-  }
-  express_.SetEnabled(false);
-  BindExpressLanes();
-}
-
-void Mesh::DisablePartition() {
-  if (!partitioned()) {
-    return;
-  }
-  // In-flight corridors are shard-confined state; convert them back to
-  // ordinary buffered flits (whose routers self-mark into the shard live
-  // sets folded below) before the shard lanes retire.
-  MaterializeExpress();
-  for (ExpressLane& lane : shard_express_) {
-    folded_express_.Fold(lane.stats());
-  }
-  shard_express_.clear();
-  for (BoundaryEdge& edge : edges_) {
-    edge.src_router->SetOutputBoundary(edge.out_port, nullptr);
-    edge.dst_router->SetInputBoundary(edge.in_port, nullptr);
-  }
-  // Destroying the edges drops anchor/clone refs into the shard pools —
-  // single-threaded by contract (the engine's workers have joined).
-  edges_.clear();
-  shard_out_edges_.clear();
-  shard_in_edges_.clear();
-  for (auto& ni : nis_) {
-    ni->SetPool(pool_);
-  }
-  // Fold the shard busy sets back into the serial one (a disabled partition
-  // may still hold in-flight flits; their routers keep their marks) and
-  // repoint the publication targets. Members are disjoint across shards, so
-  // staging everything as fresh and letting the next tick merge is exact.
-  for (LiveSet& set : shard_live_) {
-    live_.fresh_routers.insert(live_.fresh_routers.end(), set.routers.begin(), set.routers.end());
-    live_.fresh_routers.insert(live_.fresh_routers.end(), set.fresh_routers.begin(),
-                               set.fresh_routers.end());
-    live_.fresh_nis.insert(live_.fresh_nis.end(), set.nis.begin(), set.nis.end());
-    live_.fresh_nis.insert(live_.fresh_nis.end(), set.fresh_nis.begin(), set.fresh_nis.end());
-  }
-  shard_live_.clear();
-  BindLiveLists();
-  // Retire (don't destroy) the shard contexts: live packets in delivery
-  // queues still point at their pools. They die with the mesh.
-  for (auto& context : shard_contexts_) {
-    retired_contexts_.push_back(std::move(context));
-  }
-  shard_contexts_.clear();
-  shard_pools_.clear();
-  partition_ = DomainPartition{};
-  express_.SetEnabled(express_enabled_);
-  BindExpressLanes();
-}
-
-void Mesh::ShardCommit(uint32_t shard, Cycle now) {
-  LiveSet& set = shard_live_[shard];
-  if (express_enabled_) {
-    ExpressTickTop(shard_express_[shard], set, now);
-  }
-  MergeFresh(set);
-  for (const uint32_t t : set.routers) {
-    routers_[t]->CommitStaged();
-  }
-  for (const uint32_t e : shard_out_edges_[shard]) {
-    edges_[e].link->ReleaseAnchors();
-  }
-}
-
-void Mesh::ShardRoute(uint32_t shard, Cycle now) {
-  // Same fallback as the serial tick: an open stall window must charge its
-  // counter on every wedged router of this shard, busy or not. The fault
-  // model is read-only during shard phases (the injector ticks in the root
-  // phase), so concurrent polls from workers are safe.
-  if (fault_model_ != nullptr && fault_model_->NextMeshActivity(now) <= now) {
-    for (const uint32_t t : partition_.shard_tiles[shard]) {
-      routers_[t]->RouteCycle(now);
-    }
-  } else {
-    for (const uint32_t t : shard_live_[shard].routers) {
-      routers_[t]->RouteCycle(now);
-    }
-  }
-  // Publish this cycle's consumed credits before the engine's route_done
-  // grant, so the upstream shard's harvest sees the complete cycle.
-  for (const uint32_t e : shard_in_edges_[shard]) {
-    edges_[e].link->FlushCredits();
-  }
-}
-
-void Mesh::ShardTransfer(uint32_t shard, Cycle now) {
-  for (const uint32_t e : shard_out_edges_[shard]) {
-    edges_[e].link->HarvestCredits();
-  }
-  for (const uint32_t e : shard_in_edges_[shard]) {
-    const BoundaryEdge& edge = edges_[e];
-    edge.link->DeliverInto(*edge.dst_router, edge.in_port, now, *shard_pools_[shard]);
-  }
-  LiveSet& set = shard_live_[shard];
-  for (const uint32_t t : set.nis) {
-    nis_[t]->InjectCycle(now);
-  }
-  CompactDead(set);
-}
-
-uint64_t Mesh::BoundaryFlitsHandedOff() const {
-  uint64_t total = 0;
-  for (const BoundaryEdge& edge : edges_) {
-    total += edge.link->flits_handed_off();
-  }
-  return total;
-}
-
-uint64_t Mesh::BoundaryPacketsCloned() const {
-  uint64_t total = 0;
-  for (const BoundaryEdge& edge : edges_) {
-    total += edge.link->packets_cloned();
-  }
-  return total;
-}
-
-PacketPoolStats Mesh::AggregatePoolStats() const {
-  PacketPoolStats total = pool_->stats();
-  for (const PacketPool* pool : shard_pools_) {
-    const PacketPoolStats& s = pool->stats();
-    total.acquires += s.acquires;
-    total.pool_hits += s.pool_hits;
-    total.heap_allocs += s.heap_allocs;
-    total.releases += s.releases;
-    total.exhausted_fallbacks += s.exhausted_fallbacks;
-    total.live += s.live;
-    total.high_water += s.high_water;
-    total.free_size += s.free_size;
-  }
-  return total;
-}
-
-void Mesh::ResetPoolStats() {
-  pool_->ResetStats();
-  for (PacketPool* pool : shard_pools_) {
-    pool->ResetStats();
-  }
 }
 
 }  // namespace apiary

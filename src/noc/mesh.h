@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/noc/boundary_link.h"
 #include "src/noc/express.h"
 #include "src/noc/fault_hooks.h"
 #include "src/noc/network_interface.h"
@@ -18,8 +17,6 @@
 #include "src/noc/packet_pool.h"
 #include "src/noc/router.h"
 #include "src/sim/clocked.h"
-#include "src/sim/parallel/domain_partition.h"
-#include "src/sim/parallel/sharded_fabric.h"
 #include "src/sim/sim_context.h"
 
 namespace apiary {
@@ -35,7 +32,7 @@ struct MeshConfig {
   bool force_single_vc = false;
 };
 
-class Mesh : public Clocked, public ShardedFabric {
+class Mesh : public Clocked {
  public:
   // `context` selects the packet pool: the domain-local pool of the owning
   // simulator's SimContext when given (the Board constructor path), or a
@@ -51,10 +48,9 @@ class Mesh : public Clocked, public ShardedFabric {
   // busy check is O(1) — the live lists are exact after every tick — instead
   // of an O(tiles) scan.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
-  // The busy sets are mutated by shard-phase worker code (AcceptFlit during
-  // routing/boundary delivery, Inject from monitor ticks), which no
-  // cross-thread wake may observe — the mesh is re-polled fresh at every
-  // executed-cycle boundary instead.
+  // Monitors inject into NIs from their own ticks without ringing a wake
+  // (NetworkInterface holds no handle to the mesh), so the mesh is
+  // re-polled at every executed-cycle boundary instead of parked.
   [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
     return SchedPolicy::kBoundaryPoll;
   }
@@ -69,7 +65,7 @@ class Mesh : public Clocked, public ShardedFabric {
   Router& router(TileId tile) { return *routers_[tile]; }
 
   // The pool every packet injected into this mesh is drawn from (monitors
-  // reach it through their NI). Bench/test ablations toggle it here.
+  // reach it through their NI).
   PacketPool& pool() { return *pool_; }
   const PacketPool& pool() const { return *pool_; }
 
@@ -84,7 +80,7 @@ class Mesh : public Clocked, public ShardedFabric {
   // Express corridors (src/noc/express.h): timing-equivalent analytic
   // fast-forwarding of whole packets through verifiably idle routers. Off by
   // default; toggling off (or any interference hook — fault window, weight
-  // reconfig, partition change) materializes in-flight corridors back into
+  // reconfig) materializes in-flight corridors back into
   // ordinary buffered flits, so traces/counters/billing stay byte-identical
   // either way.
   void SetExpressEnabled(bool enabled);
@@ -93,14 +89,14 @@ class Mesh : public Clocked, public ShardedFabric {
   // state boundary. Called by FaultInjector::Fire before a NoC window opens,
   // and by every reconfiguration entry point.
   void MaterializeExpress();
-  // Lane statistics summed over the serial lane, live shard lanes, and lanes
-  // folded at DisablePartition.
-  ExpressStats AggregateExpressStats() const;
+  // The express lane's statistics.
+  ExpressStats AggregateExpressStats() const { return express_.stats(); }
 
   // Minimal hop count between two tiles under XY routing.
   uint32_t Hops(TileId a, TileId b) const;
 
-  // Aggregate statistics across all routers/NIs.
+  // Aggregate statistics across all routers/NIs, including the progress of
+  // in-flight express corridors (ExpressLane::InFlightProgress).
   CounterSet AggregateCounters() const;
   Histogram AggregateLatency() const;
   uint64_t TotalFlitsRouted() const;
@@ -108,36 +104,13 @@ class Mesh : public Clocked, public ShardedFabric {
   // Total logic-cell cost of the NoC fabric (routers + NIs).
   uint64_t LogicCellCost() const;
 
-  // ------------------------------------------------------------------
-  // ShardedFabric (the parallel engine's view of the mesh; see
-  // src/sim/parallel/sharded_fabric.h for the phase/ordering contract).
-  // ------------------------------------------------------------------
-  uint32_t FabricWidth() const override { return config_.width; }
-  uint32_t FabricHeight() const override { return config_.height; }
-  void EnablePartition(const DomainPartition& partition,
-                       std::vector<std::unique_ptr<SimContext>> shard_contexts) override;
-  void DisablePartition() override;
-  SimContext* shard_context(uint32_t shard) override { return shard_contexts_[shard].get(); }
-  void ShardCommit(uint32_t shard, Cycle now) override;
-  void ShardRoute(uint32_t shard, Cycle now) override;
-  void ShardTransfer(uint32_t shard, Cycle now) override;
-  Clocked* AsClocked() override { return this; }
-
-  bool partitioned() const { return !shard_pools_.empty(); }
-  // Cross-shard handoff observability (read with workers parked).
-  uint64_t BoundaryFlitsHandedOff() const;
-  uint64_t BoundaryPacketsCloned() const;
-  // Pool stats summed over the serial pool and every shard pool — the
-  // partition-aware replacement for pool().stats() in benches.
-  PacketPoolStats AggregatePoolStats() const;
-  // Zeroes the ledgers of the serial pool and every shard pool (bench
-  // warmup boundary). Call with workers parked.
-  void ResetPoolStats();
+  // The packet pool's statistics, and their reset (bench warmup boundary).
+  PacketPoolStats AggregatePoolStats() const { return pool_->stats(); }
+  void ResetPoolStats() { pool_->ResetStats(); }
 
  private:
-  // The busy subset of one sweep domain (the whole mesh when serial, one
-  // shard when partitioned). `routers`/`nis` are sorted ascending and exact
-  // after compaction: tile t is listed iff its router buffers a flit / its
+  // The busy subset of the mesh. `routers`/`nis` are sorted ascending and
+  // exact after compaction: tile t is listed iff its router buffers a flit / its
   // NI has flits queued. `fresh_*` stage idle-to-busy transitions published
   // by AcceptFlit/Inject since the last merge; merging (append + sort) at
   // the top of the next sweep keeps the tick order identical to the full
@@ -154,67 +127,27 @@ class Mesh : public Clocked, public ShardedFabric {
     return !set.routers.empty() || !set.fresh_routers.empty() || !set.nis.empty() ||
            !set.fresh_nis.empty();
   }
-  // Per-executed-cycle express work for one sweep domain, before the live
-  // merge: complete corridors due this cycle, then materialize any corridor
-  // whose zone a busy router (or whose path a busy NI) has entered.
-  void ExpressTickTop(ExpressLane& lane, LiveSet& set, Cycle now);
-  // Points each NI at its domain's lane (or detaches them when disabled).
-  void BindExpressLanes();
-  void MergeFresh(LiveSet& set);
+  // Per-executed-cycle express work, before the live merge: complete
+  // corridors due this cycle, then materialize any corridor whose zone a
+  // busy router (or whose path a busy NI) has entered.
+  void ExpressTickTop(Cycle now);
+  void MergeFresh();
   // Drops drained members and clears their marks, restoring the "listed iff
   // busy" invariant the O(1) NextActivity check relies on.
-  void CompactDead(LiveSet& set);
-  // Points every router/NI at the serial live set.
-  void BindLiveLists();
-
-  // One directed cut link: flits leave `src` shard through src_router's
-  // `out_port` and arrive in `dst` shard on dst_router's `in_port`.
-  struct BoundaryEdge {
-    std::unique_ptr<BoundaryLink> link;
-    Router* src_router = nullptr;
-    Router* dst_router = nullptr;
-    RouterPort out_port = kPortNorth;
-    RouterPort in_port = kPortNorth;
-    uint32_t src_shard = 0;
-    uint32_t dst_shard = 0;
-  };
+  void CompactDead();
 
   MeshConfig config_;
-  // Shard contexts live until MESH destruction, not DisablePartition:
-  // packets cloned from shard pools can sit in NI delivery queues (and
-  // monitor inboxes, which die before the board's mesh) past the engine's
-  // teardown, and must still find their pool when released. Declared first
-  // so they are destroyed last, after every flit ref in routers_/nis_/edges_
-  // has dropped.
-  std::vector<std::unique_ptr<SimContext>> shard_contexts_;
-  std::vector<std::unique_ptr<SimContext>> retired_contexts_;
   std::unique_ptr<PacketPool> owned_pool_;  // Set only for standalone meshes.
   PacketPool* pool_;                        // Context slot pool or owned_pool_.
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<NetworkInterface>> nis_;
   NocFaultModel* fault_model_ = nullptr;
-  // Express lanes: one per sweep domain, same confinement as the LiveSets.
-  // The lanes read router/NI/fault state through the friendship in
-  // express.h; `folded_express_` keeps stats of shard lanes retired at
-  // DisablePartition.
+  // The express lane reads router/NI/fault state through the friendship in
+  // express.h.
   friend class ExpressLane;
   bool express_enabled_ = false;
   ExpressLane express_;
-  std::vector<ExpressLane> shard_express_;
-  ExpressStats folded_express_;
-  LiveSet live_;  // Serial sweep domain (unused while partitioned).
-  // Per-shard sweep domains, worker-confined during shard phases (every
-  // mark source — routing, boundary delivery, monitor injection — stays
-  // inside the owning shard). Empty while unpartitioned.
-  std::vector<LiveSet> shard_live_;
-
-  // Partition state (empty while unpartitioned).
-  DomainPartition partition_;
-  std::vector<PacketPool*> shard_pools_;
-  std::vector<BoundaryEdge> edges_;
-  // Per shard: indices into edges_ it sends on / receives from.
-  std::vector<std::vector<uint32_t>> shard_out_edges_;
-  std::vector<std::vector<uint32_t>> shard_in_edges_;
+  LiveSet live_;
 };
 
 }  // namespace apiary

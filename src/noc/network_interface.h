@@ -70,12 +70,6 @@ class NetworkInterface {
   // the Board path (the mesh always wires one in).
   PacketPool* pool() const { return pool_; }
 
-  // Partition support (Mesh::EnablePartition): repoints this tile's senders
-  // at the owning shard's pool, so injected packets are born, routed, and
-  // released inside one domain. Monitors read pool() per send — nothing
-  // caches the old pointer.
-  void SetPool(PacketPool* pool) { pool_ = pool; }
-
   // Live-list publication (Mesh active sweep): the first packet queued while
   // unmarked appends this tile id to `list`, so the mesh sweeps only NIs
   // with pending injections. The mesh clears the mark on compaction.

@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "src/noc/boundary_link.h"
 #include "src/noc/network_interface.h"
 
 namespace apiary {
@@ -126,12 +125,6 @@ bool Router::DownstreamHasSpace(RouterPort out, Vc vc) const {
     // maximum packet and delivery queues are modeled at the monitor level.
     return true;
   }
-  if (out_boundary_[out] != nullptr) {
-    // Cut link: credit flow control stands in for the neighbor's FreeSlots —
-    // a credit is a guaranteed slot in the receiving input buffer, reflecting
-    // its end-of-previous-cycle occupancy (never reading the other shard).
-    return out_boundary_[out]->HasCredit(vc);
-  }
   Router* next = neighbors_[out];
   if (next == nullptr) {
     return false;
@@ -146,10 +139,6 @@ void Router::SendDownstream(RouterPort out, const Flit& flit, Cycle now) {
     if (ni_ != nullptr) {
       ni_->EjectFlit(flit, now);
     }
-    return;
-  }
-  if (out_boundary_[out] != nullptr) {
-    out_boundary_[out]->Send(flit, now);
     return;
   }
   static constexpr RouterPort kOpposite[4] = {kPortSouth, kPortNorth, kPortWest, kPortEast};
@@ -201,11 +190,6 @@ bool Router::TryForward(RouterPort out, int in, int vc, Cycle now) {
   }
   --occupancy_;
   ++flits_routed_;
-  // Boundary-fed input buffer: report the freed slot to the upstream shard
-  // (flushed as a credit at the end of this shard's route phase).
-  if (in != kPortLocal && in_boundary_[in] != nullptr) {
-    in_boundary_[in]->NotifyPop(static_cast<Vc>(vc));
-  }
   return true;
 }
 

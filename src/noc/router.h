@@ -18,7 +18,6 @@
 
 namespace apiary {
 
-class BoundaryLink;
 class NetworkInterface;
 
 enum RouterPort : int {
@@ -39,14 +38,6 @@ class Router {
   void SetNeighbor(RouterPort port, Router* neighbor) { neighbors_[port] = neighbor; }
   void SetLocalInterface(NetworkInterface* ni) { ni_ = ni; }
   void SetFaultModel(NocFaultModel* model) { fault_model_ = model; }
-
-  // Partition wiring (Mesh::EnablePartition/DisablePartition): when a
-  // neighbor link crosses a shard cut, outbound flits go through the
-  // boundary shim (credit-gated) instead of touching the neighbor directly,
-  // and pops from a boundary-fed input buffer are reported back as credits.
-  // Null restores the direct path.
-  void SetOutputBoundary(RouterPort port, BoundaryLink* link) { out_boundary_[port] = link; }
-  void SetInputBoundary(RouterPort port, BoundaryLink* link) { in_boundary_[port] = link; }
 
   // Weighted bandwidth arbitration: assigns a deficit weight to an
   // arbitration class. While any weight is configured and two or more
@@ -169,9 +160,6 @@ class Router {
   uint32_t buffer_depth_;
 
   std::array<Router*, 4> neighbors_{};
-  // Cut-link shims (indexed by the four neighbor ports); null off-partition.
-  std::array<BoundaryLink*, 4> out_boundary_{};
-  std::array<BoundaryLink*, 4> in_boundary_{};
   NetworkInterface* ni_ = nullptr;
   NocFaultModel* fault_model_ = nullptr;
 

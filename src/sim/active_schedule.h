@@ -42,10 +42,7 @@ class ActiveSchedule final : public WakeSink {
   // the block's first tick is deferred to the next cycle, matching the
   // reference loop's count snapshot (blocks registered mid-tick start next cycle, while
   // blocks registered by event callbacks — before the loop — tick same-cycle).
-  // `defer_first_tick` forces the next-cycle start regardless (the parallel
-  // engine classifies new blocks at the top of the next cycle, so even
-  // event-registered blocks start one cycle later there).
-  uint32_t Add(Clocked* block, Cycle now, bool defer_first_tick = false);
+  uint32_t Add(Clocked* block, Cycle now);
 
   // Removes a block; its slot id is recycled (generation-checked, so stale
   // wheel entries can never alias the new tenant).
@@ -78,9 +75,8 @@ class ActiveSchedule final : public WakeSink {
   Cycle EarliestWork(Cycle now) const;
 
   // Conservatively re-activates every block and drops all wheel state. Used
-  // when blocks migrate between schedules (parallel engine rebinding), when
-  // the optimized mode is re-enabled mid-run with stale state, and after
-  // event callbacks (which may deliver input to any parked block).
+  // when the optimized mode is re-enabled mid-run with stale state, and
+  // after event callbacks (which may deliver input to any parked block).
   void RebuildAllActive();
 
   // Audit-mode check (Simulator::SetAuditEnabled): re-polls every parked or

@@ -3,8 +3,8 @@
 // This directory (src/sim/parallel/) is the one place in the tree allowed
 // to hold synchronization and thread-affine state — apiary-sync-discipline
 // enforces it. The rest of the simulator stays single-threaded code that
-// merely *asks* for its current domain; the sharded engine (ROADMAP item 1)
-// will pin one SimContext per worker thread through this same API.
+// merely *asks* for its current domain, so two Simulators on two threads
+// each allocate from their own SimContext.
 //
 // Install is scoped and nestable: Simulator::Run()/RunUntil() install the
 // simulator's own context automatically, and threaded harnesses (e.g.

@@ -1,12 +1,12 @@
 // PayloadArena: the size-classed chunk allocator behind PayloadBuf's heap
 // tier.
 //
-// Historically this was a process-wide Meyers static inside payload_buf.cc.
-// That made every payload allocation a write to shared state — exactly the
-// kind of hidden global the sharded engine (ROADMAP item 1) cannot tolerate.
-// The arena is now an explicit object: each SimContext owns one, so every
-// simulation domain recycles chunks privately, and a process fallback arena
-// (annotated APIARY-SHARED) serves code running outside any domain.
+// Historically this was a process-wide Meyers static inside payload_buf.cc,
+// which made every payload allocation a write to shared state: two
+// Simulators on two threads would race on it. The arena is now an explicit
+// object: each SimContext owns one, so every simulation domain recycles
+// chunks privately, and a process fallback arena (annotated APIARY-SHARED)
+// serves code running outside any domain.
 //
 // Lifetime protocol: a PayloadBuf records the arena its chunk came from and
 // always releases back to it, so chunks never migrate between domains. A
@@ -61,11 +61,6 @@ class PayloadArena {
   // Frees every parked freelist chunk (leak-audit hook for tests).
   void Trim();
 
-  // When disabled, heap-tier backing comes straight from operator new and
-  // is deleted on release (the --no-pool ablation).
-  void SetEnabled(bool enabled) { enabled_ = enabled; }
-  bool enabled() const { return enabled_; }
-
   const PayloadArenaStats& stats() const { return stats_; }
   void ResetStats();
 
@@ -77,7 +72,6 @@ class PayloadArena {
  private:
   std::vector<uint8_t*> freelists_[kNumClasses];
   PayloadArenaStats stats_;
-  bool enabled_ = true;
   bool retired_ = false;
 };
 

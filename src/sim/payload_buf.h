@@ -20,8 +20,7 @@
 // two Simulators on two threads share no allocator state.
 //
 // Determinism: the arena only changes *where* bytes live, never their
-// values or any simulation-visible ordering; seeded runs are byte-identical
-// with the arena enabled or disabled (tests/determinism_test.cc).
+// values or any simulation-visible ordering.
 #ifndef SRC_SIM_PAYLOAD_BUF_H_
 #define SRC_SIM_PAYLOAD_BUF_H_
 
@@ -200,11 +199,10 @@ class PayloadBuf {
     return b == a;
   }
 
-  // --- Fallback-arena controls (bench ablation + tests). ---
+  // --- Fallback-arena observability (tests). ---
   // These operate on the process fallback arena — the one serving bufs
   // created outside any installed SimContext. Code running under a
   // Simulator reaches its domain arena via sim.context().arena() instead.
-  static void SetArenaEnabled(bool enabled);
   static const PayloadArenaStats& ArenaStats();
   static void ResetArenaStats();
   // Frees every parked freelist chunk (leak-audit hook for tests).
@@ -213,10 +211,12 @@ class PayloadBuf {
  private:
   void MoveFrom(PayloadBuf& other) noexcept {
     if (other.data_ == other.inline_) {
+      // An inline payload never exceeds kInlineBytes; the clamp lets the
+      // compiler see that bound (-Warray-bounds) without changing a byte.
       data_ = inline_;
       capacity_ = kInlineBytes;
-      size_ = other.size_;
-      std::memcpy(inline_, other.inline_, other.size_);
+      size_ = other.size_ < kInlineBytes ? other.size_ : kInlineBytes;
+      std::memcpy(inline_, other.inline_, size_);
     } else {
       data_ = other.data_;
       capacity_ = other.capacity_;

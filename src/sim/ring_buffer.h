@@ -20,16 +20,11 @@
 // assignment.
 //
 // Ownership contract: RingBuffer is a SINGLE-OWNER queue — producer and
-// consumer are the same simulation domain, so there is no synchronization
-// and no atomics (apiary-sync-discipline bans them at this layer). The
-// cross-domain variant — exactly one producer thread, exactly one consumer
-// thread, acquire/release index publication — is SpscRing in
-// src/sim/parallel/spsc_ring.h, which documents the full SPSC memory-order
-// argument; the sharded engine uses it for boundary flit handoff and this
-// class for everything intra-shard. Debug builds enforce the structural
-// half of the contract here: Init() at most once and only while empty,
-// a bounded capacity never exceeded, never pop from empty (the asserts
-// below).
+// consumer run in the same simulation domain (one Simulator, one thread),
+// so there is no synchronization and no atomics (apiary-sync-discipline
+// bans them at this layer). Debug builds enforce the structural half of
+// the contract: Init() at most once and only while empty, a bounded
+// capacity never exceeded, never pop from empty (the asserts below).
 #ifndef SRC_SIM_RING_BUFFER_H_
 #define SRC_SIM_RING_BUFFER_H_
 

@@ -7,10 +7,10 @@
 // thread_domain.h) for the duration of Run()/RunUntil(), and test harnesses
 // install it around construction when they build boards off the run path.
 //
-// This is the confinement boundary that makes ROADMAP item 1 (one worker
-// thread per spatial domain) a mechanical decomposition: two Simulators on
-// two threads share no mutable state, which the two-thread TSan smoke
-// harness (tests/parallel_smoke_test.cc) proves on every CI run.
+// This is the confinement boundary that lets independent simulations run
+// side by side in one process: two Simulators on two threads share no
+// mutable state, which the two-thread TSan smoke harness
+// (tests/parallel_smoke_test.cc) proves on every CI run.
 //
 // Layering note: sim is the root layer, so SimContext cannot name types
 // from noc/core (PacketPool lives in noc). Higher layers attach their

@@ -12,8 +12,7 @@ void Simulator::Register(Clocked* block) {
   // The schedule is kept bound even in the reference mode: wake calls stay
   // counted, and re-enabling the optimized mode mid-run only needs a
   // conservative rebuild.
-  const uint32_t slot = sched_.Add(block, now_, defer_new_blocks_);
-  slot_refs_.push_back(SlotRef{&sched_, slot});
+  slots_.push_back(sched_.Add(block, now_));
 }
 
 void Simulator::Unregister(Clocked* block) { pending_removals_.push_back(block); }
@@ -22,7 +21,7 @@ void Simulator::ApplyPendingRemovals() {
   if (pending_removals_.empty()) {
     return;
   }
-  // Single-pass lockstep compaction of blocks_ and slot_refs_: sort the
+  // Single-pass lockstep compaction of blocks_ and slots_: sort the
   // removal set once and binary-search it per block. Sorting also makes
   // double-unregister of the same block harmless (each surviving element is
   // visited once).
@@ -30,15 +29,15 @@ void Simulator::ApplyPendingRemovals() {
   size_t kept = 0;
   for (size_t i = 0; i < blocks_.size(); ++i) {
     if (std::binary_search(pending_removals_.begin(), pending_removals_.end(), blocks_[i])) {
-      slot_refs_[i].sched->Remove(slot_refs_[i].slot);
+      sched_.Remove(slots_[i]);
     } else {
       blocks_[kept] = blocks_[i];
-      slot_refs_[kept] = slot_refs_[i];
+      slots_[kept] = slots_[i];
       ++kept;
     }
   }
   blocks_.resize(kept);
-  slot_refs_.resize(kept);
+  slots_.resize(kept);
   pending_removals_.clear();
 }
 
@@ -77,14 +76,14 @@ void Simulator::Step() {
   if (skip_enabled_) {
     sched_.AdvanceBoundary(now_);
     if (audit_enabled_) {
-      Audit(sched_);
+      Audit();
     }
   }
 }
 
-void Simulator::Audit(const ActiveSchedule& sched) {
+void Simulator::Audit() {
   const Clocked* first = nullptr;
-  const size_t missed = sched.CountMissedWakes(now_, &first);
+  const size_t missed = sched_.CountMissedWakes(now_, &first);
   if (missed == 0) {
     return;
   }
@@ -116,7 +115,7 @@ void Simulator::SkipAhead(Cycle limit) {
   target = std::min(target, limit);
   JumpTo(target);
   if (audit_enabled_) {
-    Audit(sched_);
+    Audit();
   }
 }
 

@@ -1,6 +1,6 @@
 // Differential determinism for the active-set scheduler: the optimized
-// engine must match the reference engine byte for byte on the sharded 8x8
-// board, and skip exactly the cycles the O(N) NextActivity sweep skipped.
+// engine must match the reference engine byte for byte on the full 8x8
+// board, and skip exactly the recorded cycles.
 // Harness and workloads: tests/differential_harness.h.
 #include <gtest/gtest.h>
 
@@ -10,8 +10,7 @@ namespace apiary::differential {
 namespace {
 
 TEST(ActiveSetDifferentialTest, FullWorkloadIsByteIdenticalWithAndWithoutActiveSets) {
-  ExpectShardedBoardIsReal(
-      CheckModes(RunShardedBoard, {Mode::kOptimized}, {1}, kShardedBoardEngine));
+  ExpectFullBoardIsReal(CheckModes(RunFullBoard, {Mode::kOptimized}, kFullBoardEngine));
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "src/services/load_balancer.h"
 #include "src/services/supervisor.h"
 #include "src/sim/logging.h"
-#include "src/sim/parallel/parallel_simulator.h"
 #include "src/tenant/tenant.h"
 #include "tests/differential_harness.h"
 #include "tests/test_util.h"
@@ -44,9 +43,7 @@ void ApplyMode(TestBoard& tb, Mode mode) {
   tb.board.mesh().SetExpressEnabled(mode == Mode::kExpress);
 }
 
-// Appends "<level> <line>\n" to the std::string passed as `user`. One
-// instance per simulation domain: the process-wide sink and each shard
-// capture separate byte-exact traces, concatenated in a fixed order.
+// Appends "<level> <line>\n" to the std::string passed as `user`.
 void StringSink(LogLevel level, const std::string& line, void* user) {
   auto* out = static_cast<std::string*>(user);
   *out += std::to_string(static_cast<int>(level));
@@ -55,8 +52,7 @@ void StringSink(LogLevel level, const std::string& line, void* user) {
   *out += '\n';
 }
 
-// Captures every log line (down to kDebug) emitted outside a shard domain
-// for as long as it lives; shard sinks are attached per run.
+// Captures every log line (down to kDebug) for as long as it lives.
 class TraceCapture {
  public:
   TraceCapture() : prev_level_(GetLogLevel()) {
@@ -78,8 +74,7 @@ class TraceCapture {
 
 // Self-driving periodic echo client with a send budget. Declares its next
 // send cycle, so between sends the tile parks on the timer wheel; replies
-// arrive through the NI's delivery wake. Every send originates inside a
-// Tick, so under the parallel engine packets are born in the owning shard.
+// arrive through the NI's delivery wake.
 class PeriodicClient : public Accelerator {
  public:
   PeriodicClient(ServiceId svc, Cycle period, uint64_t limit)
@@ -195,8 +190,6 @@ void CollectBoard(RunResult& r, TestBoard& tb) {
   r.audit_first_violation = tb.sim.audit_first_violation();
   Mesh& mesh = tb.board.mesh();
   r.flits = mesh.TotalFlitsRouted();
-  r.handed_off = mesh.BoundaryFlitsHandedOff();
-  r.cloned = mesh.BoundaryPacketsCloned();
   r.mesh_counters = mesh.AggregateCounters().ToString();
   r.latency = mesh.AggregateLatency().Summary();
   r.express = mesh.AggregateExpressStats();
@@ -212,8 +205,6 @@ void CollectChaos(RunResult& r, const FaultInjector& injector, const Supervisor&
 void ExpectSameSimulation(const RunResult& run, const RunResult& ref, const std::string& label) {
   EXPECT_EQ(run.end_cycle, ref.end_cycle) << label;
   EXPECT_EQ(run.flits, ref.flits) << label;
-  EXPECT_EQ(run.handed_off, ref.handed_off) << label;
-  EXPECT_EQ(run.cloned, ref.cloned) << label;
   EXPECT_EQ(run.client_sent, ref.client_sent) << label;
   EXPECT_EQ(run.client_ok, ref.client_ok) << label;
   EXPECT_EQ(run.client_errors, ref.client_errors) << label;
@@ -237,50 +228,32 @@ void ExpectSameSimulation(const RunResult& run, const RunResult& ref, const std:
 }  // namespace
 
 RunResult CheckModes(const Workload& workload, const std::vector<Mode>& modes,
-                     const std::vector<uint32_t>& threads, const EngineExpectations& expect) {
-  const RunResult ref = workload(Mode::kReference, 1);
+                     const EngineExpectations& expect) {
+  const RunResult ref = workload(Mode::kReference);
   EXPECT_EQ(ref.skipped_cycles, 0u);
   EXPECT_EQ(ref.skips, 0u);
   EXPECT_EQ(ref.express.launches, 0u);
-  ExpressStats express1;
-  for (const uint32_t t : threads) {
-    for (const Mode mode : modes) {
-      if (mode == Mode::kReference && t == 1) {
-        continue;
-      }
-      const std::string label = std::string(ModeName(mode)) + " threads=" + std::to_string(t);
-      const RunResult run = workload(mode, t);
-      ExpectSameSimulation(run, ref, label);
-      EXPECT_EQ(run.audit_violations, 0u) << label << ": " << run.audit_first_violation;
-      if (mode == Mode::kReference) {
-        EXPECT_EQ(run.skipped_cycles, 0u) << label;
-        EXPECT_EQ(run.skips, 0u) << label;
-        EXPECT_EQ(run.express.launches, 0u) << label;
-        continue;
-      }
-      EXPECT_EQ(run.skipped_cycles, expect.skipped_cycles) << label;
-      EXPECT_EQ(run.skips, expect.skips) << label;
-      if (mode == Mode::kOptimized) {
-        EXPECT_EQ(run.express.launches, 0u) << label;
-        continue;
-      }
-      EXPECT_GT(run.express.launches, expect.min_corridors) << label;
-      EXPECT_GT(run.express.delivered, expect.min_corridors) << label;
-      if (t == threads.front()) {
-        express1 = run.express;
-      } else {
-        EXPECT_EQ(run.express.launches, express1.launches) << label;
-        EXPECT_EQ(run.express.delivered, express1.delivered) << label;
-        EXPECT_EQ(run.express.materializations, express1.materializations) << label;
-      }
+  EXPECT_EQ(ref.audit_violations, 0u) << ref.audit_first_violation;
+  for (const Mode mode : modes) {
+    const std::string label = ModeName(mode);
+    const RunResult run = workload(mode);
+    ExpectSameSimulation(run, ref, label);
+    EXPECT_EQ(run.audit_violations, 0u) << label << ": " << run.audit_first_violation;
+    EXPECT_EQ(run.skipped_cycles, expect.skipped_cycles) << label;
+    EXPECT_EQ(run.skips, expect.skips) << label;
+    if (mode == Mode::kOptimized) {
+      EXPECT_EQ(run.express.launches, 0u) << label;
+      continue;
     }
+    EXPECT_GT(run.express.launches, expect.min_corridors) << label;
+    EXPECT_GT(run.express.delivered, expect.min_corridors) << label;
   }
   return ref;
 }
 
 // E3-shaped IPC: kernel-mediated echo round trips over the NoC with long
 // idle valleys between requests — the traffic shape skipping is built for.
-RunResult RunSerialIpc(Mode mode, uint32_t /*threads*/) {
+RunResult RunSerialIpc(Mode mode) {
   RunResult r;
   TraceCapture capture;
   {
@@ -307,7 +280,7 @@ RunResult RunSerialIpc(Mode mode, uint32_t /*threads*/) {
 // supervisor) over periodic traffic. Fault windows and plan events bound
 // fast-forwarding and materialize corridors, so every fault must land on
 // the same cycle in every mode.
-RunResult RunSerialChaos(Mode mode, uint32_t /*threads*/) {
+RunResult RunSerialChaos(Mode mode) {
   RunResult r;
   TraceCapture capture;
   {
@@ -348,15 +321,12 @@ RunResult RunSerialChaos(Mode mode, uint32_t /*threads*/) {
   return r;
 }
 
-// 8x8 board, 4 column-band shards (x in {0,1} | {2,3} | {4,5} | {6,7}); tile
-// ids are row-major (tile = y*8 + x). Two shard-aligned tenants with quotas
-// and billing, kernel-mediated IPC across one and three cuts, an early
-// saturating burst across two cuts, a column-0 flow whose route stays inside
-// shard 0 (the corridor-eligible flow), and a supervisor-healed crash among
-// windows of sharded link faults.
-RunResult RunShardedBoard(Mode mode, uint32_t threads) {
-  constexpr uint32_t kShards = 4;
-
+// The whole-OS workload: an 8x8 board (tile ids row-major, tile = y*8 + x)
+// with two tenants under quotas and billing, kernel-mediated IPC across the
+// board, an early saturating burst, a column-0 flow whose quiet route
+// express corridors can cover end to end, and a supervisor-healed crash
+// among windows of link faults.
+RunResult RunFullBoard(Mode mode) {
   TestBoardOptions options;
   options.width = 8;
   options.height = 8;
@@ -391,7 +361,7 @@ RunResult RunShardedBoard(Mode mode, uint32_t threads) {
     EXPECT_EQ(placed_client, ct);
     (void)(bare ? tb.os.GrantSendToService(ct, svc) : tenants.GrantSendToService(t, ct, svc));
   };
-  // Tenant A lives in shard 0 (x in {0,1}); tenant B in shard 3 (x in {6,7}).
+  // Tenant A lives at x in {0,1}; tenant B at x in {6,7}.
   const AppId app_a = tenants.CreateApp(tenant_a, "alpha_app");
   const AppId app_b = tenants.CreateApp(tenant_b, "beta_app");
   pair(tenant_a, app_a, 5, /*x=1,y=1*/ 9, /*x=0,y=1*/ 8, 120, kUnlimited);
@@ -399,13 +369,12 @@ RunResult RunShardedBoard(Mode mode, uint32_t threads) {
 
   const AppId app_x = tb.os.CreateApp("crossers");
   const TileId crash_tile = /*x=4,y=5*/ 44;
-  pair(kInvalidTenant, app_x, 10, /*x=7,y=3*/ 31, /*x=0,y=3*/ 24, 40, kUnlimited);  // 3 cuts.
-  pair(kInvalidTenant, app_x, 10, crash_tile, /*x=3,y=5*/ 43, 25, kUnlimited);       // 1 cut.
-  // Saturator: floods the x=1|2 and x=3|4 cuts early on, then goes quiet so
-  // the tail of the run exercises fast-forwarding and mass parking.
+  pair(kInvalidTenant, app_x, 10, /*x=7,y=3*/ 31, /*x=0,y=3*/ 24, 40, kUnlimited);  // 7 hops.
+  pair(kInvalidTenant, app_x, 10, crash_tile, /*x=3,y=5*/ 43, 25, kUnlimited);       // 1 hop.
+  // Saturator: floods row 0 early on, then goes quiet so the tail of the
+  // run exercises fast-forwarding and mass parking.
   pair(kInvalidTenant, app_x, 2, /*x=5,y=0*/ 5, /*x=2,y=0*/ 2, 2, /*limit=*/4'000);
-  // Column 0, y=7 -> y=4: path tiles and their zone stencils sit inside
-  // shard 0, so the shard lane can cover the route end to end.
+  // Column 0, y=7 -> y=4: a route no other flow crosses or borders.
   pair(kInvalidTenant, app_x, 8, /*x=0,y=4*/ 32, /*x=0,y=7*/ 56, 180, kUnlimited);
 
   Supervisor sup(&tb.os);
@@ -421,16 +390,8 @@ RunResult RunShardedBoard(Mode mode, uint32_t threads) {
   FaultInjector injector(plan, FaultHooks{.os = &tb.os,
                                           .mesh = &tb.board.mesh(),
                                           .memory = &tb.board.memory()});
-  injector.EnableShardedLinkFaults(tb.board.mesh().num_tiles());
 
-  ParallelSimulator psim(&tb.sim, &tb.board.mesh(), ParallelConfig{kShards, threads});
-  EXPECT_EQ(psim.shards(), kShards);
-  std::vector<std::string> shard_traces(kShards);
-  for (uint32_t s = 0; s < kShards; ++s) {
-    psim.shard_context(s)->SetLogSink(StringSink, &shard_traces[s]);
-  }
-
-  psim.Run(60'000);
+  tb.sim.Run(60'000);
 
   RunResult r;
   CollectBoard(r, tb);
@@ -443,22 +404,14 @@ RunResult RunShardedBoard(Mode mode, uint32_t threads) {
   r.billing_b = tenants.BillingRecords(tenant_b);
   r.digest_a = tenants.BillingDigest(tenant_a);
   r.digest_b = tenants.BillingDigest(tenant_b);
-  // Detach the shard sinks before the capture strings die; the shard
-  // contexts themselves outlive the engine (the mesh retires them).
-  for (uint32_t s = 0; s < kShards; ++s) {
-    psim.shard_context(s)->SetLogSink(nullptr, nullptr);
-  }
   r.trace = std::move(capture.root);
-  for (const std::string& t : shard_traces) {
-    r.trace += t;
-  }
   return r;
 }
 
 // Undeploy of a tile on a corridor: vacating the service tile mid-stream
 // revokes routes and identity but leaves the NoC state alone — in-flight
 // corridors to that tile keep their exact timing while the tail drains.
-RunResult RunMidCorridorUndeploy(Mode mode, uint32_t /*threads*/) {
+RunResult RunMidCorridorUndeploy(Mode mode) {
   RunResult r;
   TraceCapture capture;
   {
@@ -487,7 +440,7 @@ RunResult RunMidCorridorUndeploy(Mode mode, uint32_t /*threads*/) {
 // the scheduler (mid-load and mid-drain-hold) and the idle replicas are all
 // parked, so the replica set changes on cycles the optimized engine reaches
 // by fast-forward.
-RunResult RunElasticService(Mode mode, uint32_t /*threads*/) {
+RunResult RunElasticService(Mode mode) {
   RunResult r;
   TraceCapture capture;
   {
@@ -560,18 +513,24 @@ void ExpectElasticServiceIsReal(const RunResult& ref) {
   EXPECT_LT(ref.replica_tile_cycles, 4 * 200'000u);
 }
 
-void ExpectShardedBoardIsReal(const RunResult& ref) {
+void ExpectFullBoardIsReal(const RunResult& ref) {
   EXPECT_EQ(ref.end_cycle, 60'000u);
   EXPECT_GT(ref.client_sent, 2'000u);
   EXPECT_GT(ref.client_ok, 2'000u);
-  EXPECT_GT(ref.handed_off, 1'000u);
-  EXPECT_GT(ref.cloned, 0u);
+  // The chaos fired: the crash, and link faults that actually hit packets.
   EXPECT_NE(ref.injector_counters.find("fault.accel_crash=1"), std::string::npos);
   EXPECT_NE(ref.injector_counters.find("fault.link_drops_applied"), std::string::npos);
-  EXPECT_NE(ref.supervisor_counters.find("supervisor"), std::string::npos);
+  EXPECT_NE(ref.injector_counters.find("fault.link_corruptions_applied"), std::string::npos);
+  // The supervisor detected the crash and healed the tile.
+  EXPECT_NE(ref.supervisor_counters.find("supervisor.faults_detected=1 "), std::string::npos)
+      << ref.supervisor_counters;
+  EXPECT_NE(ref.supervisor_counters.find("supervisor.faults_recovered=1 "), std::string::npos)
+      << ref.supervisor_counters;
+  // Both tenants were metered and billed.
   EXPECT_GT(ref.digest_a, 0u);
   EXPECT_GT(ref.digest_b, 0u);
   EXPECT_FALSE(ref.billing_a.empty());
+  EXPECT_FALSE(ref.billing_b.empty());
   EXPECT_FALSE(ref.trace.empty());
 }
 

@@ -1,40 +1,33 @@
 // Differential determinism: every engine configuration must be invisible to
 // the simulation. The oracle is the reference engine (SetSkipEnabled(false):
 // every block ticked every cycle, no fast-forward, no express corridors).
-// Five workloads run here: serial IPC, serial chaos, the sharded 8x8 board,
-// a mid-corridor undeploy and an elastic (autoscaled) service. Each test
-// runs a workload in the modes and
-// at the thread counts it names, and every run must match the workload's
-// reference run at threads=1 byte for byte: end cycle, debug trace,
+// Five workloads run here: serial IPC, serial chaos, the full 8x8 board, a
+// mid-corridor undeploy and an elastic (autoscaled) service. Each test runs
+// a workload in the modes it names, and every run must match the workload's
+// reference run byte for byte: end cycle, debug trace,
 // mesh/monitor/injector/supervisor/tenant/orchestration counters, latency
-// summary, fault records, billing records and digests, the autoscaler's
-// region-cycle integral, and boundary handoff/clone counts.
+// summary, fault records, billing records and digests, and the
+// autoscaler's region-cycle integral.
 //
 // Every run has audit mode on (Simulator::SetAuditEnabled): no parked block
-// may ever hold work, at any thread count.
+// may ever hold work.
 //
 // The engine's own observables are checked on top: the reference run never
 // skips; every optimized and express run skips exactly the recorded number
 // of cycles in exactly the recorded number of jumps; express runs launch
-// corridors (with the same lane stats at every thread count) and the others
-// launch none. The skip constants of the first four workloads were recorded
-// with the O(N) NextActivity sweep the active set replaced, so they pin the
-// active set's skip targets to the brute-force minimum; the elastic
-// workload's were recorded with the active set (sim_test's probe zoo checks
-// every jump against the brute-force minimum).
+// corridors and the others launch none. The skip constants of the IPC,
+// chaos and undeploy workloads were recorded with the O(N) NextActivity
+// sweep the active set replaced, so they pin the active set's skip targets
+// to the brute-force minimum; the elastic and full-board workloads' were
+// recorded with the active set (sim_test's probe zoo checks every jump
+// against the brute-force minimum).
 //
-// The suites split the (workload, mode, threads) grid between them, each
+// The suites split the (workload, mode) grid between them, each
 // combination run once:
 //   skip_differential_test        serial IPC, chaos and elastic, optimized
-//   active_set_differential_test  sharded board, optimized, threads 1
-//   parallel_differential_test    sharded board, reference and
-//                                 optimized, threads 2/4
-//   express_differential_test     all five workloads, express (sharded
-//                                 board at threads 1/2/4), plus the
+//   active_set_differential_test  full board, optimized
+//   express_differential_test     all five workloads, express, plus the
 //                                 undeploy workload optimized
-// Run under TSan in CI, the sharded-board suites are also the data-race
-// proof for the parallel engine, its per-shard active sets and its
-// per-shard express lanes.
 #ifndef TESTS_DIFFERENTIAL_HARNESS_H_
 #define TESTS_DIFFERENTIAL_HARNESS_H_
 
@@ -54,8 +47,6 @@ struct RunResult {
   // Simulation-visible: must equal the reference run.
   Cycle end_cycle = 0;
   uint64_t flits = 0;
-  uint64_t handed_off = 0;
-  uint64_t cloned = 0;
   uint64_t client_sent = 0;
   uint64_t client_ok = 0;
   uint64_t client_errors = 0;
@@ -73,7 +64,7 @@ struct RunResult {
   uint64_t replica_tile_cycles = 0;
   uint32_t digest_a = 0;
   uint32_t digest_b = 0;
-  std::string trace;  // Process-wide trace, then shard traces in shard order.
+  std::string trace;
   // Engine observables: differ by mode by construction.
   uint64_t skipped_cycles = 0;
   uint64_t skips = 0;
@@ -84,36 +75,36 @@ struct RunResult {
 
 // What the optimized engine must report on top of matching the reference.
 struct EngineExpectations {
-  uint64_t skipped_cycles;  // Recorded with the O(N) sweep engine.
+  uint64_t skipped_cycles;
   uint64_t skips;
   uint64_t min_corridors;  // Express launches and delivers strictly more.
 };
 
-using Workload = std::function<RunResult(Mode, uint32_t threads)>;
+using Workload = std::function<RunResult(Mode)>;
 
-// Runs `workload` in each of `modes` at each thread count in `threads`
-// (skipping the reference run at threads=1, the oracle itself) and checks
-// each run against the reference run at threads=1, which it returns for
-// the workload's own "the scenario is real" checks.
+// Runs the workload's reference run, then the workload in each of `modes`
+// (never kReference), and checks each run against the reference run, which
+// it returns for the workload's own "the scenario is real" checks.
 RunResult CheckModes(const Workload& workload, const std::vector<Mode>& modes,
-                     const std::vector<uint32_t>& threads, const EngineExpectations& expect);
+                     const EngineExpectations& expect);
 
-// The workloads. Serial ones ignore `threads`.
-RunResult RunSerialIpc(Mode mode, uint32_t threads);
-RunResult RunSerialChaos(Mode mode, uint32_t threads);
-RunResult RunShardedBoard(Mode mode, uint32_t threads);
-RunResult RunMidCorridorUndeploy(Mode mode, uint32_t threads);
-RunResult RunElasticService(Mode mode, uint32_t threads);
+// The workloads.
+RunResult RunSerialIpc(Mode mode);
+RunResult RunSerialChaos(Mode mode);
+RunResult RunFullBoard(Mode mode);
+RunResult RunMidCorridorUndeploy(Mode mode);
+RunResult RunElasticService(Mode mode);
 
-// Skip counts per workload, recorded with the O(N) NextActivity sweep.
+// Skip counts per workload (see the top of this file for how each was
+// recorded).
 inline constexpr EngineExpectations kSerialIpcEngine{196'800, 800, 0};
 inline constexpr EngineExpectations kSerialChaosEngine{138'530, 2'792, 100};
-inline constexpr EngineExpectations kShardedBoardEngine{5'183, 2'242, 50};
+inline constexpr EngineExpectations kFullBoardEngine{5'188, 2'223, 50};
 inline constexpr EngineExpectations kMidCorridorUndeployEngine{5'588, 185, 0};
 inline constexpr EngineExpectations kElasticServiceEngine{145'980, 5'375, 0};
 
 // "The scenario is real" checks on a workload's reference run.
-void ExpectShardedBoardIsReal(const RunResult& ref);
+void ExpectFullBoardIsReal(const RunResult& ref);
 void ExpectElasticServiceIsReal(const RunResult& ref);
 
 }  // namespace apiary::differential

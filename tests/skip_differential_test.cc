@@ -11,20 +11,19 @@ namespace apiary::differential {
 namespace {
 
 TEST(SkipDifferentialTest, IpcScenarioMatchesNoSkipByteForByte) {
-  const RunResult ref = CheckModes(RunSerialIpc, {Mode::kOptimized}, {1}, kSerialIpcEngine);
+  const RunResult ref = CheckModes(RunSerialIpc, {Mode::kOptimized}, kSerialIpcEngine);
   EXPECT_GT(ref.client_sent, 100u);
   EXPECT_GT(ref.client_ok, 100u);
 }
 
 TEST(SkipDifferentialTest, ChaosScenarioMatchesNoSkipByteForByte) {
-  const RunResult ref = CheckModes(RunSerialChaos, {Mode::kOptimized}, {1}, kSerialChaosEngine);
+  const RunResult ref = CheckModes(RunSerialChaos, {Mode::kOptimized}, kSerialChaosEngine);
   EXPECT_NE(ref.injector_counters.find("fault.accel_crash=1"), std::string::npos);
   EXPECT_GT(ref.client_ok + ref.client_errors, 0u);
 }
 
 TEST(SkipDifferentialTest, ElasticScenarioMatchesNoSkipByteForByte) {
-  const RunResult ref =
-      CheckModes(RunElasticService, {Mode::kOptimized}, {1}, kElasticServiceEngine);
+  const RunResult ref = CheckModes(RunElasticService, {Mode::kOptimized}, kElasticServiceEngine);
   ExpectElasticServiceIsReal(ref);
 }
 

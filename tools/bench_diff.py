@@ -5,7 +5,7 @@ Usage:
   bench_diff.py --baseline-dir . --current-dir bench_out BENCH_b1.json ...
 
 For every named file, rows are joined on their identifying fields (scenario,
-period, threads, active_pct) and the key throughput fields — anything named
+period, active_pct) and the key throughput fields — anything named
 *mcycles_per_sec, speedup, or express_hits — are compared against the
 baseline. A throughput drop beyond --tolerance (default 30%, smoke runs on
 shared CI hardware are noisy) or a corridor hit count collapsing to zero
@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-ID_FIELDS = ("scenario", "period", "threads", "active_pct")
+ID_FIELDS = ("scenario", "period", "active_pct")
 
 
 def row_key(row):
