@@ -35,6 +35,7 @@ class RawQueue : public Clocked {
   // The queue itself does no tick work, but harness predicates poll Pop()
   // against front().available_at — declare that cycle as an activity
   // boundary so RunUntil predicates observe it exactly.
+  // APIARY-WAKE(self): Push rings the queue's own RequestWake().
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     if (entries_.empty()) {
       return kNoActivity;
@@ -43,11 +44,6 @@ class RawQueue : public Clocked {
     return at > now ? at : now;
   }
   std::string DebugName() const override { return "raw_queue"; }
-  // Pushes come straight from harness/baseline code with no wake path;
-  // boundary-polled so a new front entry is seen at the next boundary.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kBoundaryPoll;
-  }
 
   uint64_t pushed() const { return pushed_; }
   uint64_t popped() const { return popped_; }
@@ -77,6 +73,7 @@ inline bool RawQueue::Push(PayloadBuf payload, Cycle now) {
   channel_free_at_ = start + transfer;
   entries_.push_back(Entry{channel_free_at_ + 1, std::move(payload)});
   ++pushed_;
+  RequestWake();  // Pushes come from harness/baseline code outside the queue.
   return true;
 }
 

@@ -21,7 +21,6 @@
 
 #include "src/core/capability.h"
 #include "src/core/message.h"
-#include "src/sim/clocked.h"
 #include "src/sim/types.h"
 
 namespace apiary {
@@ -101,23 +100,16 @@ class Accelerator {
   // Quiescence hook mirroring Clocked::NextActivity, forwarded by the tile:
   // the earliest future cycle this accelerator's Tick() matters again, a
   // value <= now for "active every cycle" (the safe default), or
-  // kNoActivity (~Cycle{0}) when it only reacts to messages. Re-polled at
-  // every executed cycle, so message arrival re-arms the tile automatically.
+  // kNoActivity (~Cycle{0}) when it only reacts to messages. The tile parks
+  // on it; message arrival re-arms the tile through the NI's sink wake, and
+  // any other input handed in from outside must ring the tile's wake
+  // (TileApi::RequestTick, or the tile's own RequestWake()).
   [[nodiscard]] virtual Cycle NextActivity(Cycle now) const { return now; }
 
   // Mirrors Clocked::OnFastForward: the simulator jumped to `resume_cycle`;
   // bring any cached clocks / per-cycle accumulators to the state a
   // cycle-by-cycle run would have produced.
   virtual void OnFastForward(Cycle resume_cycle) { (void)resume_cycle; }
-
-  // Mirrors Clocked::SchedulingPolicy, forwarded by the owning tile: an
-  // accelerator whose NextActivity reads state mutated outside any
-  // schedule-visible wake path (e.g. a campaign flag flipped by a separate
-  // driver block) returns kBoundaryPoll so its tile is re-polled at every
-  // executed-cycle boundary instead of parked.
-  [[nodiscard]] virtual Clocked::SchedPolicy SchedulingPolicy() const {
-    return Clocked::SchedPolicy::kActiveSet;
-  }
 
   virtual std::string name() const = 0;
 

@@ -53,6 +53,7 @@ void Monitor::FailStop(const std::string& reason) {
   // onto the NoC — and external callers (kernel, watchdog) reach a parked
   // tile with no wake of their own.
   owner_wake_.Wake();
+  fault_watcher_.Wake();
 }
 
 void Monitor::Restart() {
@@ -64,6 +65,7 @@ void Monitor::Restart() {
   reply_rights_.clear();
   pending_responses_.clear();
   counters_.Add(restarts_id_);
+  fault_watcher_.Wake();
 }
 
 void Monitor::RaiseFault(const std::string& reason) {

@@ -74,6 +74,10 @@ class Monitor : public TileApi {
   // while the tile sits parked; the state they flip is only acted on at the
   // tile's next tick, so they announce themselves through this hint.
   void SetOwnerWake(WakeHint hint) { owner_wake_ = hint; }
+  // Wake channel to the block watching this tile's fault state (the
+  // supervisor managing it): rung whenever FailStop or Restart flips the
+  // state, the way a fail-stop interrupt would be raised in hardware.
+  void SetFaultWatcher(WakeHint hint) { fault_watcher_ = hint; }
 
   // Fail-stop: sink the inbox/outbox and bounce future traffic (4.4).
   void FailStop(const std::string& reason);
@@ -174,6 +178,7 @@ class Monitor : public TileApi {
   std::string fault_reason_;
   bool accelerator_faulted_ = false;
   WakeHint owner_wake_;
+  WakeHint fault_watcher_;
 
   // Message FIFOs, bounded by config_ (inbox_messages / outbox_messages) at
   // their push sites. Growing rings: their slots reach the high-water

@@ -41,12 +41,6 @@ class Tile : public Clocked {
   // accelerator is not ticked in a cycle-by-cycle run either.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
   void OnFastForward(Cycle resume_cycle) override;
-  // The tile's policy follows the loaded accelerator (a campaign-flag
-  // attacker needs boundary polling; most logic honors the full wake
-  // contract). Swap points call RequestPolicyRefresh().
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return accel_ != nullptr ? accel_->SchedulingPolicy() : SchedPolicy::kActiveSet;
-  }
   std::string DebugName() const override;
 
   Monitor& monitor() { return monitor_; }

@@ -44,33 +44,32 @@ void FaultInjector::Record(const FaultEvent& event, Cycle now, const std::string
   trace_.push_back(std::move(line));
 }
 
+void FaultInjector::OpenNocWindow(std::vector<Window>& windows, const FaultEvent& event,
+                                  double rate, Cycle now) {
+  // A window opening ends NocQuiet: corridors planned under the old
+  // declaration must become real flits before any traversal can hit it.
+  // A stall window also moves the mesh's own declaration (NextMeshActivity),
+  // so the open wakes a parked mesh.
+  if (hooks_.mesh != nullptr) {
+    hooks_.mesh->MaterializeExpress();
+    hooks_.mesh->RequestWake();
+  }
+  windows.push_back(Window{event.tile, now + event.duration, rate});
+  Record(event, now, "");
+}
+
 void FaultInjector::Fire(const FaultEvent& event, Cycle now) {
   counters_.Add("fault.injected");
   counters_.Add(std::string("fault.") + FaultKindName(event.kind));
   switch (event.kind) {
     case FaultKind::kLinkDrop:
-      // A window opening ends NocQuiet: corridors planned under the old
-      // declaration must become real flits before any traversal can hit it.
-      // Fire runs in the root-phase Tick, before this cycle's mesh phases.
-      if (hooks_.mesh != nullptr) {
-        hooks_.mesh->MaterializeExpress();
-      }
-      drop_windows_.push_back(Window{event.tile, now + event.duration, event.rate});
-      Record(event, now, "");
+      OpenNocWindow(drop_windows_, event, event.rate, now);
       break;
     case FaultKind::kLinkCorrupt:
-      if (hooks_.mesh != nullptr) {
-        hooks_.mesh->MaterializeExpress();
-      }
-      corrupt_windows_.push_back(Window{event.tile, now + event.duration, event.rate});
-      Record(event, now, "");
+      OpenNocWindow(corrupt_windows_, event, event.rate, now);
       break;
     case FaultKind::kRouterStall:
-      if (hooks_.mesh != nullptr) {
-        hooks_.mesh->MaterializeExpress();
-      }
-      stall_windows_.push_back(Window{event.tile, now + event.duration, 1.0});
-      Record(event, now, "");
+      OpenNocWindow(stall_windows_, event, 1.0, now);
       break;
     case FaultKind::kDramBitFlip: {
       if (hooks_.memory == nullptr) {

@@ -77,6 +77,10 @@ class FaultInjector : public Clocked, public NocFaultModel {
 
   bool WindowHit(const std::vector<Window>& windows, TileId router_tile, Cycle now);
   void Fire(const FaultEvent& event, Cycle now);
+  // Opens a drop/corrupt/stall window on the mesh (see the .cc for the
+  // corridor materialization and the mesh wake it implies).
+  void OpenNocWindow(std::vector<Window>& windows, const FaultEvent& event, double rate,
+                     Cycle now);
   void Record(const FaultEvent& event, Cycle now, const std::string& note);
 
   FaultPlan plan_;

@@ -105,12 +105,19 @@ class EthernetMacBase : public Clocked, public ExternalEndpoint {
     address_ = my_address;
   }
 
+  // Wake channel for the consumer of the RX FIFO (the network service's
+  // tile): rung on every accepted frame, so a parked consumer resumes the
+  // cycle tick order dictates.
+  void SetRxWake(WakeHint hint) { rx_wake_ = hint; }
+
   void Tick(Cycle now) override;
   // TX is the MAC's only tick-driven work: sleep until the in-flight frame
   // finishes serializing, stay awake while queued frames can launch. A
-  // queued frame behind a down link makes no progress cycle-to-cycle (the
-  // bring-up pollers re-arm the MAC by flipping the link during an executed
-  // cycle), and RX is entirely caller-driven.
+  // queued frame behind a down link makes no progress cycle-to-cycle, and
+  // RX is entirely caller-driven (it wakes the consumer, not the MAC).
+  // APIARY-WAKE(self): a TX enqueue (QueueTx) and a link-up flip (the
+  // bring-up polls flipping mutable locked_/aligned_, EnableTxFlowControl)
+  // each ring the MAC's own RequestWake().
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     if (tx_in_flight_) {
       return tx_busy_until_ > now ? tx_busy_until_ : now;
@@ -121,12 +128,6 @@ class EthernetMacBase : public Clocked, public ExternalEndpoint {
     return kNoActivity;
   }
   std::string DebugName() const override { return "eth_mac"; }
-  // TX enqueues come from service ticks and link state flips inside const
-  // bring-up polls (mutable locked_/aligned_) — neither is a schedule-visible
-  // wake path, so the MAC is re-polled at every executed-cycle boundary.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kBoundaryPoll;
-  }
 
   uint32_t address() const { return address_; }
   double link_gbps() const { return link_gbps_; }
@@ -153,6 +154,7 @@ class EthernetMacBase : public Clocked, public ExternalEndpoint {
   bool tx_in_flight_ = false;
   EthFrame tx_current_;
   std::deque<EthFrame> rx_queue_;
+  WakeHint rx_wake_;
 };
 
 // "Xilinx 10G-style" MAC: must go through an explicit two-step reset
@@ -195,7 +197,10 @@ class EthMac100G : public EthernetMacBase {
 
   void InitCmac(Cycle now);
   bool RxAligned(Cycle now) const;
-  void EnableTxFlowControl() { flow_control_enabled_ = true; }
+  void EnableTxFlowControl() {
+    flow_control_enabled_ = true;
+    RequestWake();  // May bring the link up under queued TX.
+  }
 
   bool EnqueueTxSegment(EthFrame frame, Cycle now);
   bool HasRxSegment() const { return RxAvailable(); }

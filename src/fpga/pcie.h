@@ -39,6 +39,7 @@ class PcieEndpoint : public Clocked {
   // An unlaunched submission must be launched on the very next tick (launch
   // time feeds the link-serialization math); otherwise completions are FIFO
   // with monotonic complete_at, so the front transfer bounds the sleep.
+  // APIARY-WAKE(self): Submit rings the endpoint's own RequestWake().
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     if (queue_.empty()) {
       return kNoActivity;
@@ -49,12 +50,6 @@ class PcieEndpoint : public Clocked {
     return queue_.front().complete_at > now ? queue_.front().complete_at : now;
   }
   std::string DebugName() const override { return "pcie"; }
-  // Submissions arrive from host/baseline code and DMA ticks, none of which
-  // rings a wake, so the endpoint is re-polled fresh at every executed-cycle
-  // boundary instead of parked.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kBoundaryPoll;
-  }
 
   const CounterSet& counters() const { return counters_; }
   const PcieConfig& config() const { return config_; }

@@ -47,9 +47,9 @@ Cycle DramChannel::ServiceLatency(Bank& bank, const Request& req) {
   return latency;
 }
 
-// APIARY-WAKE(owner): subobject of MemoryController (kBoundaryPoll),
-// whose boundary re-poll folds this declaration in; enqueues only happen
-// during the owner's own Tick.
+// APIARY-WAKE(owner): subobject of MemoryController, whose SubmitRead and
+// SubmitWrite ring the owner's wake on every accepted Enqueue; the owner's
+// declaration folds this one in.
 Cycle DramChannel::NextActivity(Cycle now) const {
   Cycle next = kNoActivity;
   for (const Bank& bank : banks_) {

@@ -47,6 +47,7 @@ bool InterleavedMemory::SubmitRead(uint64_t addr, std::span<uint8_t> out,
   op->remaining = std::make_shared<size_t>(op->chunks.size());
   pending_.push_back(std::move(op));
   counters_.Add("hbm.reads");
+  RequestWake();
   return true;
 }
 
@@ -64,6 +65,7 @@ bool InterleavedMemory::SubmitWrite(uint64_t addr, std::span<const uint8_t> data
   op->remaining = std::make_shared<size_t>(op->chunks.size());
   pending_.push_back(std::move(op));
   counters_.Add("hbm.writes");
+  RequestWake();
   return true;
 }
 

@@ -39,6 +39,8 @@ class InterleavedMemory : public Clocked, public MemoryBackend {
   void Tick(Cycle now) override;
   // Active while any operation still has chunks to issue; otherwise defers
   // to the earliest channel completion.
+  // APIARY-WAKE(self): SubmitRead/SubmitWrite ring the memory's own
+  // RequestWake(); the channels are subobjects ticked from Tick.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     if (!pending_.empty()) {
       return now;
@@ -51,11 +53,6 @@ class InterleavedMemory : public Clocked, public MemoryBackend {
     return next;
   }
   std::string DebugName() const override { return "hbm"; }
-  // Same as MemoryController: fed by service/accelerator ticks with no
-  // schedule-visible wake path — boundary-polled, never parked.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kBoundaryPoll;
-  }
 
   uint32_t num_channels() const { return static_cast<uint32_t>(channels_.size()); }
   const CounterSet& counters() const { return counters_; }

@@ -28,8 +28,8 @@ bool MemoryController::SubmitRead(uint64_t addr, std::span<uint8_t> out,
       done(now);
     }
   };
-  return dram_.Enqueue(addr, static_cast<uint32_t>(out.size()), /*is_write=*/false,
-                       std::move(copy_then_done));
+  return Accepted(dram_.Enqueue(addr, static_cast<uint32_t>(out.size()), /*is_write=*/false,
+                                std::move(copy_then_done)));
 }
 
 bool MemoryController::SubmitWrite(uint64_t addr, std::span<const uint8_t> data,
@@ -38,8 +38,8 @@ bool MemoryController::SubmitWrite(uint64_t addr, std::span<const uint8_t> data,
     return false;
   }
   std::memcpy(store_.get() + addr, data.data(), data.size());
-  return dram_.Enqueue(addr, static_cast<uint32_t>(data.size()), /*is_write=*/true,
-                       std::move(done));
+  return Accepted(dram_.Enqueue(addr, static_cast<uint32_t>(data.size()), /*is_write=*/true,
+                                std::move(done)));
 }
 
 void MemoryController::DebugWrite(uint64_t addr, std::span<const uint8_t> data) {

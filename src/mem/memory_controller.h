@@ -39,16 +39,12 @@ class MemoryController : public Clocked, public MemoryBackend {
   bool ecc_enabled() const { return ecc_enabled_; }
 
   void Tick(Cycle now) override { dram_.Tick(now); }
+  // APIARY-WAKE(self): SubmitRead/SubmitWrite ring the controller's own
+  // RequestWake() on every accepted request.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     return dram_.NextActivity(now);
   }
   std::string DebugName() const override { return "memctl"; }
-  // Requests are enqueued by memory-service and accelerator ticks through
-  // MemoryBackend, which rings no wake — so re-poll at every executed-cycle
-  // boundary instead of parking on the wheel.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kBoundaryPoll;
-  }
 
   uint64_t capacity() const override { return capacity_; }
   const CounterSet& counters() const { return dram_.counters(); }
@@ -57,6 +53,14 @@ class MemoryController : public Clocked, public MemoryBackend {
  private:
   bool InBounds(uint64_t addr, uint64_t len) const {
     return addr <= capacity_ && len <= capacity_ - addr;
+  }
+  // Requests arrive from service and accelerator ticks outside this block:
+  // an accepted one ends the controller's parked quiescence.
+  bool Accepted(bool enqueued) const {
+    if (enqueued) {
+      RequestWake();
+    }
+    return enqueued;
   }
 
   struct FreeDeleter {

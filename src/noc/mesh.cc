@@ -47,7 +47,7 @@ Mesh::Mesh(MeshConfig config, SimContext* context) : config_(config) {
   }
   for (uint32_t t = 0; t < n; ++t) {
     routers_[t]->SetLiveList(&live_.fresh_routers);
-    nis_[t]->SetLiveList(&live_.fresh_nis);
+    nis_[t]->SetLiveList(&live_.fresh_nis, WakeHint(this));
   }
   express_.Configure(this, n);
 }
@@ -148,6 +148,7 @@ void Mesh::SetFaultModel(NocFaultModel* model) {
   for (auto& r : routers_) {
     r->SetFaultModel(model);
   }
+  RequestWake();  // The model's NextMeshActivity is part of the declaration.
 }
 
 void Mesh::SetArbClassWeight(uint8_t cls, uint32_t weight) {

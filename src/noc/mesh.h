@@ -43,17 +43,14 @@ class Mesh : public Clocked {
   void Tick(Cycle now) override;
   // Quiescent when no router buffers a flit, no NI has flits queued for
   // injection, and the installed fault model (if any) has no per-cycle mesh
-  // work (open stall windows). Monitors re-arm the mesh by enqueuing into an
-  // NI during an executed cycle; the next boundary poll sees the flits. The
-  // busy check is O(1) — the live lists are exact after every tick — instead
-  // of an O(tiles) scan.
+  // work (open stall windows). The busy check is O(1) — the live lists are
+  // exact after every tick — instead of an O(tiles) scan.
+  // APIARY-WAKE(NetworkInterface::Inject): an idle NI publishing itself to
+  // the live set rings the mesh's wake; FaultInjector::Fire rings it when a
+  // window opens (SetFaultModel too). Routers only turn busy inside the
+  // mesh's own tick or a corridor materialization, which needs a corridor
+  // in flight and so an active mesh.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
-  // Monitors inject into NIs from their own ticks without ringing a wake
-  // (NetworkInterface holds no handle to the mesh), so the mesh is
-  // re-polled at every executed-cycle boundary instead of parked.
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kBoundaryPoll;
-  }
   std::string DebugName() const override { return "mesh"; }
 
   uint32_t width() const { return config_.width; }

@@ -60,10 +60,13 @@ bool NetworkInterface::Inject(PacketRef packet, Cycle now) {
   queue.push_back(Flit{std::move(packet), flits - 1});
   counters_.Add(packets_injected_id_);
   counters_.Add(flits_injected_id_, flits);
-  // Idle-to-busy transition: publish this NI into the mesh's live set.
+  // Idle-to-busy transition: publish this NI into the mesh's live set and
+  // end the mesh's parked quiescence (the monitor injecting here ticks
+  // outside the mesh).
   if (!live_marked_ && live_out_ != nullptr) {
     live_out_->push_back(tile_);
     live_marked_ = true;
+    mesh_wake_.Wake();
   }
   return true;
 }

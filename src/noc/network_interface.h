@@ -71,9 +71,13 @@ class NetworkInterface {
   PacketPool* pool() const { return pool_; }
 
   // Live-list publication (Mesh active sweep): the first packet queued while
-  // unmarked appends this tile id to `list`, so the mesh sweeps only NIs
-  // with pending injections. The mesh clears the mark on compaction.
-  void SetLiveList(std::vector<uint32_t>* list) { live_out_ = list; }
+  // unmarked appends this tile id to `list` and rings `mesh_wake`, so the
+  // mesh sweeps only NIs with pending injections and a parked mesh resumes
+  // the cycle tick order dictates. The mesh clears the mark on compaction.
+  void SetLiveList(std::vector<uint32_t>* list, WakeHint mesh_wake) {
+    live_out_ = list;
+    mesh_wake_ = mesh_wake;
+  }
   void ClearLiveMark() { live_marked_ = false; }
 
   // Wake channel for the consumer of delivered packets (the tile above this
@@ -115,9 +119,11 @@ class NetworkInterface {
   std::array<RingBuffer<Flit>, kNumVcs> inject_queues_;
   int inject_rr_ = 0;
   // Busy-transition publication target (the owning mesh's fresh-live list)
-  // plus the once-per-transition mark, and the delivery-side wake handle.
+  // plus the once-per-transition mark and the mesh's wake, and the
+  // delivery-side wake handle.
   std::vector<uint32_t>* live_out_ = nullptr;
   bool live_marked_ = false;
+  WakeHint mesh_wake_;
   WakeHint sink_wake_;
   // Reassembled packets awaiting Retrieve: a growing ring, so steady-state
   // delivery never touches the heap.

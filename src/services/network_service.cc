@@ -35,7 +35,11 @@ std::optional<EthFrame> Mac100GAdapter::TryRecv() {
   return mac_->DequeueRxSegment();
 }
 
-void NetworkService::OnBoot(TileApi& api) { mac_->Bringup(api.now()); }
+void NetworkService::OnBoot(TileApi& api) {
+  // Frames the fabric delivers into the RX FIFO are this tile's input.
+  mac_->SetRxWake(WakeHint(&os_->tile(api.tile())));
+  mac_->Bringup(api.now());
+}
 
 void NetworkService::HandleRegister(const Message& msg, TileApi& api) {
   // Mint an endpoint capability from this tile to the registering service so

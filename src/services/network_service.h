@@ -37,6 +37,8 @@ class MacAdapter {
   // Frames waiting in the RX FIFO — the quiescence query behind the network
   // service's NextActivity; must not dequeue or mutate.
   virtual bool HasRx() const = 0;
+  // Routes the MAC's RX-delivery wake to `hint` (the service's tile).
+  virtual void SetRxWake(WakeHint hint) = 0;
   virtual double link_gbps() const = 0;
 };
 
@@ -50,6 +52,7 @@ class Mac10GAdapter : public MacAdapter {
   bool TrySend(EthFrame frame, Cycle now) override { return mac_->TxFrame(std::move(frame), now); }
   std::optional<EthFrame> TryRecv() override;
   bool HasRx() const override { return mac_->RxFrameValid(); }
+  void SetRxWake(WakeHint hint) override { mac_->SetRxWake(hint); }
   double link_gbps() const override { return 10.0; }
 
  private:
@@ -70,6 +73,7 @@ class Mac100GAdapter : public MacAdapter {
   }
   std::optional<EthFrame> TryRecv() override;
   bool HasRx() const override { return mac_->HasRxSegment(); }
+  void SetRxWake(WakeHint hint) override { mac_->SetRxWake(hint); }
   double link_gbps() const override { return 100.0; }
 
  private:
@@ -100,6 +104,8 @@ class NetworkService : public Accelerator {
   // Active while bringing the link up (Ready is time-dependent and polled
   // per cycle), while any backlog or RX frame is pending, and always in
   // reliable mode (the ARQ transport's timers advance every cycle).
+  // APIARY-WAKE(EthernetMacBase::OnFrame): the MAC's RX wake, bound to this
+  // tile at boot, rings on every frame the fabric delivers.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     if (!mac_->Ready(now) || reliable_) {
       return now;
@@ -108,14 +114,6 @@ class NetworkService : public Accelerator {
       return now;
     }
     return kNoActivity;
-  }
-  // HasRx() flips when the external fabric delivers into the MAC's RX FIFO —
-  // a mutation outside this tile with no wake path into it. Boundary polling
-  // re-reads the declaration at every executed-cycle boundary, so a frame
-  // delivered at cycle T is served at T+1: exactly when a tick-everything
-  // run serves it, since the fabric is registered after the board's tiles.
-  [[nodiscard]] Clocked::SchedPolicy SchedulingPolicy() const override {
-    return Clocked::SchedPolicy::kBoundaryPoll;
   }
 
   std::string name() const override { return "network_service"; }

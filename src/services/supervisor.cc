@@ -17,6 +17,8 @@ void Supervisor::Manage(TileId tile, AccelFactory factory) {
   Managed m;
   m.factory = std::move(factory);
   managed_[tile] = std::move(m);
+  os_->monitor(tile).SetFaultWatcher(WakeHint(this));
+  RequestWake();  // The tile may already be fail-stopped.
 }
 
 void Supervisor::SetStandby(ServiceId service, TileId standby_tile) {
@@ -53,6 +55,7 @@ void Supervisor::Quarantine(TileId tile, const std::string& reason) {
   m.state = TileState::kQuarantined;
   counters_.Add("supervisor.quarantines");
   APIARY_LOG(kWarn) << "supervisor: tile " << tile << " quarantined (" << reason << ")";
+  RequestWake();  // A pending backoff deadline is void now.
 }
 
 bool Supervisor::IcapFree() const {
@@ -65,6 +68,12 @@ bool Supervisor::IcapFree() const {
 }
 
 void Supervisor::OnTileFault(TileId tile, const std::string& reason) {
+  const Cycle now = os_->sim().now();
+  HandleFault(tile, reason, now > 0 ? now - 1 : 0);
+  RequestWake();  // A recovery may now be due.
+}
+
+void Supervisor::HandleFault(TileId tile, const std::string& reason, Cycle now) {
   auto it = managed_.find(tile);
   if (it == managed_.end()) {
     os_->FailStop(tile, reason);  // Not ours to heal, but still contained.
@@ -75,14 +84,14 @@ void Supervisor::OnTileFault(TileId tile, const std::string& reason) {
     return;  // Already recovering (or quarantined) — one fault, one recovery.
   }
   counters_.Add("supervisor.faults_detected");
-  m.fault_detected_at = now_;
+  m.fault_detected_at = now;
   // Contain first: the tile may still be half-alive (watchdog path).
   os_->FailStop(tile, reason);
   APIARY_LOG(kInfo) << "supervisor: tile " << tile << " faulted (" << reason << ")";
 
   // Crash-loop accounting over a sliding-ish window.
-  if (now_ - m.window_start > config_.crash_loop_window) {
-    m.window_start = now_;
+  if (now - m.window_start > config_.crash_loop_window) {
+    m.window_start = now;
     m.recent_faults = 0;
   }
   ++m.recent_faults;
@@ -125,7 +134,7 @@ void Supervisor::OnTileFault(TileId tile, const std::string& reason) {
     }
   }
 
-  BeginRecovery(tile, m, now_);
+  BeginRecovery(tile, m, now);
 }
 
 void Supervisor::BeginRecovery(TileId tile, Managed& m, Cycle now) {
@@ -161,10 +170,19 @@ Cycle Supervisor::NextActivity(Cycle now) const {
         next = at < next ? at : next;
         break;
       }
-      case TileState::kReconfiguring:
-        // The recovering tile itself pins the reconfig-done cycle (see
-        // header comment); nothing to declare here.
+      case TileState::kReconfiguring: {
+        // Completion needs the load done and the monitor healthy; a load
+        // that booted into a fail-stopped monitor waits for its Restart,
+        // which rings the fault watcher.
+        const Tile& t = os_->tile(tile);
+        if (t.reconfiguring()) {
+          const Cycle at = t.reconfig_done_at() > now ? t.reconfig_done_at() : now;
+          next = at < next ? at : next;
+        } else if (os_->monitor(tile).fault_state() == TileFaultState::kHealthy) {
+          next = now;
+        }
         break;
+      }
       case TileState::kQuarantined:
         break;
     }
@@ -178,14 +196,13 @@ Cycle Supervisor::NextActivity(Cycle now) const {
 }
 
 void Supervisor::Tick(Cycle now) {
-  now_ = now;
   // Poll for tiles that fail-stopped themselves (crash faults surface this
   // way; wedges arrive via the MgmtService watchdog instead).
   if (now % config_.poll_period == 0) {
     for (auto& [tile, m] : managed_) {
       if (m.state == TileState::kHealthy &&
           os_->monitor(tile).fault_state() == TileFaultState::kStopped) {
-        OnTileFault(tile, os_->monitor(tile).fault_reason());
+        HandleFault(tile, os_->monitor(tile).fault_reason(), now);
       }
     }
   }

@@ -58,15 +58,21 @@ class Supervisor : public Clocked {
   Supervisor(ApiaryOs* os, SupervisorConfig config = SupervisorConfig{});
 
   // Puts `tile` under supervision; `factory` supplies fresh logic for each
-  // recovery reconfiguration.
+  // recovery reconfiguration. Binds the tile monitor's fault watcher to this
+  // block, so a fail-stop wakes a parked supervisor like an interrupt.
   void Manage(TileId tile, AccelFactory factory);
 
   // Registers `standby_tile` (already configured with equivalent logic) as
   // the hot spare for `service`; consumed by the first failover.
   void SetStandby(ServiceId service, TileId standby_tile);
 
-  // Fault notification: from MgmtService's watchdog, from the poll loop, or
-  // from any other detector. Idempotent while a recovery is in progress.
+  // Fault notification from an external detector (MgmtService's watchdog).
+  // Idempotent while a recovery is in progress. The report is stamped
+  // sim().now() - 1 (0 at cycle 0): callers must tick before the supervisor,
+  // which is registered after every tile (a detector is a tile's
+  // accelerator), or run outside Tick (event callbacks, harness code
+  // between runs) — in both cases the cycle a cycle-by-cycle supervisor
+  // last ticked. The supervisor's own poll stamps its tick's `now`.
   void OnTileFault(TileId tile, const std::string& reason);
 
   // Policy escalation: fail-stop `tile` and leave it quarantined (no
@@ -76,27 +82,17 @@ class Supervisor : public Clocked {
   void Quarantine(TileId tile, const std::string& reason);
 
   void Tick(Cycle now) override;
-  // Wakes for backoff expiries, and for the next poll multiple while any
-  // healthy-state managed tile sits fail-stopped (the poll's only effect).
-  // Reconfiguration completion needs no entry of its own: the recovering
-  // tile declares its reconfig-done cycle, every block ticks on executed
-  // cycles, and the supervisor (registered after the tiles) observes the
-  // completed tile in that same cycle — exactly as in a cycle-by-cycle run.
+  // Wakes for backoff expiries, for the next poll multiple while any
+  // healthy-state managed tile sits fail-stopped (the poll's only effect),
+  // and for a recovering tile's reconfig_done_at(): the tile boots the new
+  // logic in its own tick that cycle, and the supervisor, registered after
+  // the tiles, observes the completion in the same cycle — exactly as in a
+  // cycle-by-cycle run.
+  // APIARY-WAKE(Monitor::FailStop): a managed tile's monitor rings the fault
+  // watcher on FailStop and Restart; Manage, OnTileFault and Quarantine
+  // ring the supervisor's own RequestWake().
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
-  // Keeps the cached clock at resume-1 so externally driven faults
-  // (MgmtService watchdog -> OnTileFault) stamp identical detection times.
-  void OnFastForward(Cycle resume_cycle) override { now_ = resume_cycle - 1; }
   std::string DebugName() const override { return "supervisor"; }
-  // Tick caches the clock that externally driven fault reports (OnTileFault
-  // from watchdog ticks) stamp into detection times, and the quoted
-  // same-cycle observation of reconfig completions depends on executing
-  // every cycle — pinned, never parked. NextActivity still bounds skips.
-  // A parked supervisor could not derive those stamps: a caller registered
-  // before it reads now - 1, one registered after it reads now, and it
-  // cannot tell which (DESIGN.md §4 "Every idle block parks").
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return SchedPolicy::kEveryCycle;
-  }
 
   const CounterSet& counters() const { return counters_; }
   // Fault-detection to back-in-service time, per recovered fault.
@@ -122,6 +118,9 @@ class Supervisor : public Clocked {
     ServiceId standby_for = kInvalidService;
   };
 
+  // The fault path shared by OnTileFault and the poll; `now` is the
+  // detection stamp.
+  void HandleFault(TileId tile, const std::string& reason, Cycle now);
   void BeginRecovery(TileId tile, Managed& m, Cycle now);
   // True when no tile on the board is mid-reconfiguration: the recovery
   // reconfiguration shares the single ICAP with the orchestrator's
@@ -133,7 +132,6 @@ class Supervisor : public Clocked {
   SupervisorConfig config_;
   std::map<TileId, Managed> managed_;
   std::map<ServiceId, TileId> standbys_;
-  Cycle now_ = 0;
   CounterSet counters_;
   Histogram recovery_cycles_;
 };

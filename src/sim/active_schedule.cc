@@ -22,14 +22,8 @@ uint32_t ActiveSchedule::Add(Clocked* block, Cycle now) {
   // callback runs this cycle (the snapshot was taken after events).
   s.no_tick_before = ticking_ ? now + 1 : 0;
   s.state = State::kActive;
-  s.policy = block->SchedulingPolicy();
   block->BindWakeSink(this, slot);
   ++live_count_;
-  if (s.policy == Clocked::SchedPolicy::kEveryCycle) {
-    pinned_.push_back(slot);
-  } else if (s.policy == Clocked::SchedPolicy::kBoundaryPoll) {
-    polled_.push_back(slot);
-  }
   InsertActive(slot);
   return slot;
 }
@@ -50,20 +44,9 @@ void ActiveSchedule::Remove(uint32_t slot) {
       if (ticking_ && pos <= cursor_) {
         --cursor_;
       }
-      if (s.policy == Clocked::SchedPolicy::kActiveSet) {
-        --transient_active_;
-      }
     }
   } else if (s.state == State::kTimed && !s.timed_far) {
     --near_timed_;
-  }
-  auto erase_from = [slot](std::vector<uint32_t>& v) {
-    v.erase(std::remove(v.begin(), v.end(), slot), v.end());
-  };
-  if (s.policy == Clocked::SchedPolicy::kEveryCycle) {
-    erase_from(pinned_);
-  } else if (s.policy == Clocked::SchedPolicy::kBoundaryPoll) {
-    erase_from(polled_);
   }
   s.block->BindWakeSink(nullptr, 0);
   s.block = nullptr;
@@ -89,9 +72,6 @@ void ActiveSchedule::InsertActive(uint32_t slot) {
   if (ticking_ && pos <= cursor_) {
     ++cursor_;
   }
-  if (slots_[slot].policy == Clocked::SchedPolicy::kActiveSet) {
-    ++transient_active_;
-  }
 }
 
 void ActiveSchedule::Activate(uint32_t slot) {
@@ -112,49 +92,11 @@ void ActiveSchedule::Wake(uint32_t slot) {
   if (st == State::kActive || st == State::kFree) {
     return;  // Already ticking (or gone): a wake is never an error.
   }
+  if (polling_) {
+    boundary_wakes_.push_back(slot);  // AdvanceBoundary activates it after its loop.
+    return;
+  }
   Activate(slot);
-}
-
-void ActiveSchedule::RefreshPolicy(uint32_t slot) {
-  if (slot >= slots_.size() || slots_[slot].state == State::kFree) {
-    return;
-  }
-  Slot& s = slots_[slot];
-  const Clocked::SchedPolicy next = s.block->SchedulingPolicy();
-  if (next == s.policy) {
-    return;
-  }
-  // Pull the block into the active list first (under its old policy, so
-  // transient accounting stays consistent), then swap list membership.
-  if (s.state != State::kActive) {
-    Activate(slot);
-  }
-  auto erase_from = [slot](std::vector<uint32_t>& v) {
-    v.erase(std::remove(v.begin(), v.end(), slot), v.end());
-  };
-  switch (s.policy) {
-    case Clocked::SchedPolicy::kActiveSet:
-      --transient_active_;
-      break;
-    case Clocked::SchedPolicy::kEveryCycle:
-      erase_from(pinned_);
-      break;
-    case Clocked::SchedPolicy::kBoundaryPoll:
-      erase_from(polled_);
-      break;
-  }
-  s.policy = next;
-  switch (next) {
-    case Clocked::SchedPolicy::kActiveSet:
-      ++transient_active_;
-      break;
-    case Clocked::SchedPolicy::kEveryCycle:
-      pinned_.push_back(slot);
-      break;
-    case Clocked::SchedPolicy::kBoundaryPoll:
-      polled_.push_back(slot);
-      break;
-  }
 }
 
 void ActiveSchedule::ScheduleTimed(uint32_t slot, Cycle now, Cycle deadline) {
@@ -239,66 +181,42 @@ void ActiveSchedule::AdvanceBoundary(Cycle now) {
   }
 
   // 2. Re-poll the active list and park the quiescent: declared-future blocks
-  // go to the wheel, idle-until-input blocks park on their wake channel, and
-  // boundary-poll blocks park bare (they are re-polled here every boundary).
-  // Pinned (kEveryCycle) blocks stay without being polled.
+  // go to the wheel, idle-until-input blocks park on their wake channel.
+  polling_ = true;
   size_t kept = 0;
   for (size_t i = 0; i < active_.size(); ++i) {
     const uint32_t slot = active_[i];
     Slot& s = slots_[slot];
-    if (s.policy == Clocked::SchedPolicy::kEveryCycle) {
-      active_[kept++] = slot;
-      continue;
-    }
     const Cycle next = s.block->NextActivity(now);
     if (next <= now) {
       active_[kept++] = slot;
-      continue;
-    }
-    if (s.policy == Clocked::SchedPolicy::kActiveSet) {
-      --transient_active_;
-      if (next == kNoActivity) {
-        s.state = State::kParked;
-      } else {
-        ScheduleTimed(slot, now, next);
-      }
+    } else if (next == kNoActivity) {
+      s.state = State::kParked;
     } else {
-      s.state = State::kParked;  // kBoundaryPoll: never wheeled, re-polled below.
+      ScheduleTimed(slot, now, next);
     }
   }
   active_.resize(kept);
+  polling_ = false;
 
-  // 3. Re-admit boundary-poll blocks whose external inputs arrived since the
-  // last boundary (unannounced enqueues, link flips — no wake path).
-  for (const uint32_t slot : polled_) {
-    Slot& s = slots_[slot];
-    if (s.state == State::kParked && s.block->NextActivity(now) <= now) {
+  // 3. Wakes rung from inside those polls: a block parked earlier in this
+  // loop (or before it) got input and is active for this cycle.
+  for (const uint32_t slot : boundary_wakes_) {
+    const State st = slots_[slot].state;
+    if (st == State::kParked || st == State::kTimed) {
       Activate(slot);
     }
   }
+  boundary_wakes_.clear();
 
   last_boundary_ = now;
 }
 
 Cycle ActiveSchedule::EarliestWork(Cycle now) const {
-  if (transient_active_ > 0) {
-    return now;  // O(1): some kActiveSet block is busy.
+  if (!active_.empty()) {
+    return now;  // O(1): some block is busy.
   }
   Cycle earliest = kNoActivity;
-  for (const uint32_t slot : pinned_) {
-    const Cycle next = slots_[slot].block->NextActivity(now);
-    if (next <= now) {
-      return now;
-    }
-    earliest = std::min(earliest, next);
-  }
-  for (const uint32_t slot : polled_) {
-    const Cycle next = slots_[slot].block->NextActivity(now);
-    if (next <= now) {
-      return now;
-    }
-    earliest = std::min(earliest, next);
-  }
   // Earliest live wheel deadline: walk cycles from the cached lower bound.
   // Every live near entry has deadline in (now, now + kWheelBuckets), so the
   // walk is bounded by one revolution; stale entries are skipped (the skip
@@ -331,8 +249,7 @@ Cycle ActiveSchedule::EarliestWork(Cycle now) const {
 size_t ActiveSchedule::CountMissedWakes(Cycle now, const Clocked** first) const {
   size_t missed = 0;
   for (const Slot& s : slots_) {
-    if ((s.state != State::kParked && s.state != State::kTimed) ||
-        s.policy != Clocked::SchedPolicy::kActiveSet) {
+    if (s.state != State::kParked && s.state != State::kTimed) {
       continue;
     }
     if (s.block->NextActivity(now) <= now) {
@@ -354,7 +271,6 @@ void ActiveSchedule::RebuildAllActive() {
   wheel_min_ = kNoActivity;
   near_timed_ = 0;
   active_.clear();
-  transient_active_ = 0;
   for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
     Slot& s = slots_[slot];
     if (s.state == State::kFree) {
@@ -362,9 +278,6 @@ void ActiveSchedule::RebuildAllActive() {
     }
     s.state = State::kActive;
     active_.push_back(slot);
-    if (s.policy == Clocked::SchedPolicy::kActiveSet) {
-      ++transient_active_;
-    }
   }
   std::sort(active_.begin(), active_.end(), [this](uint32_t a, uint32_t b) {
     return slots_[a].order < slots_[b].order;

@@ -7,17 +7,17 @@
 // wheel keyed by Clocked::NextActivity, making an executed cycle
 // O(active + woken) and the skip-decision poll O(1) when any block is busy.
 //
-// Correctness rests on the PR 4 quiescence contract: Tick() of a quiescent
-// block is a no-op (including its trace), so conservatively ticking a block
-// is always byte-safe — only a *missed* tick (a late wake) can change
-// behavior. Every transition out of parked quiescence therefore goes through
-// one of:
+// Correctness rests on the quiescence contract (src/sim/clocked.h): Tick()
+// of a quiescent block is a no-op (including its trace), so conservatively
+// ticking a block is always byte-safe — only a *missed* tick (a late wake)
+// can change behavior. Every block is scheduled the same way, and every
+// transition out of parked quiescence goes through one of:
 //   * the timer wheel (the block's own declared deadline),
-//   * Clocked::RequestWake()/WakeHint (input delivered by another block),
-//   * a per-boundary re-poll (SchedPolicy::kBoundaryPoll, for blocks whose
-//     inputs arrive outside any schedule-visible wake path),
-// and SchedPolicy::kEveryCycle opts a block out entirely (ticked on every
-// executed cycle, exactly as the reference loop would).
+//   * Clocked::RequestWake()/WakeHint (input delivered by another block, or
+//     a method of the block itself mutating its declaration from outside
+//     its Tick).
+// Nothing re-polls a parked block; audit mode (CountMissedWakes) checks that
+// none is holding work.
 #ifndef SRC_SIM_ACTIVE_SCHEDULE_H_
 #define SRC_SIM_ACTIVE_SCHEDULE_H_
 
@@ -55,23 +55,20 @@ class ActiveSchedule final : public WakeSink {
   // cycle (the reference loop had not reached the sleeper yet) — byte-identical visibility.
   void Wake(uint32_t slot) override;
 
-  // WakeSink: re-reads the block's SchedulingPolicy() (a tile's policy
-  // follows the service loaded onto it, which reconfiguration changes
-  // mid-run) and conservatively re-activates the block.
-  void RefreshPolicy(uint32_t slot) override;
-
   // Ticks the active list for cycle `now`, in registration order.
   void ExecuteTicks(Cycle now);
 
   // Establishes the active set for cycle `now` (call after advancing the
   // clock, including across skip jumps): pops due timer-wheel entries, then
-  // re-polls active and boundary-poll blocks, parking the quiescent ones.
+  // re-polls the active blocks, parking the quiescent ones. A wake rung from
+  // inside one of those polls (a const query flipping cached state) takes
+  // effect once the poll loop is done, for this cycle.
   void AdvanceBoundary(Cycle now);
 
   // The earliest cycle >= `now` at which this schedule needs an executed
-  // cycle: `now` itself while any block is active (O(1) when a kActiveSet
-  // block is busy), else the earliest wheel deadline / pinned / boundary-poll
-  // declaration; kNoActivity when fully idle. Pure (safe to call repeatedly).
+  // cycle: `now` itself while any block is active (O(1)), else the earliest
+  // live wheel deadline; kNoActivity when fully idle. Pure (safe to call
+  // repeatedly).
   Cycle EarliestWork(Cycle now) const;
 
   // Conservatively re-activates every block and drops all wheel state. Used
@@ -80,7 +77,7 @@ class ActiveSchedule final : public WakeSink {
   void RebuildAllActive();
 
   // Audit-mode check (Simulator::SetAuditEnabled): re-polls every parked or
-  // wheeled kActiveSet block at the boundary of cycle `now` and counts those
+  // wheeled block at the boundary of cycle `now` and counts those
   // whose NextActivity(now) <= now — blocks with work this cycle that the
   // schedule will not tick, i.e. missed wakes. Stores the first offender in
   // `*first` when it is not null. Pure; O(slots).
@@ -104,7 +101,6 @@ class ActiveSchedule final : public WakeSink {
     Cycle no_tick_before = 0;   // Defers the first tick of a mid-loop Add.
     uint32_t gen = 0;
     State state = State::kFree;
-    Clocked::SchedPolicy policy = Clocked::SchedPolicy::kActiveSet;
     bool timed_far = false;  // Valid while kTimed: entry lives in far_, not a bucket.
   };
 
@@ -132,14 +128,13 @@ class ActiveSchedule final : public WakeSink {
   uint64_t next_order_ = 0;
   size_t live_count_ = 0;
 
-  // Slots to tick, sorted by registration order. Pinned (kEveryCycle) slots
-  // are permanent members; others come and go with their quiescence.
+  // Slots to tick, sorted by registration order; blocks come and go with
+  // their quiescence. Non-empty is the O(1) busy signal.
   std::vector<uint32_t> active_;
-  // Number of active_ entries with kActiveSet policy: the O(1) busy signal.
-  size_t transient_active_ = 0;
-  // kEveryCycle / kBoundaryPoll membership (small; polled for skip targets).
-  std::vector<uint32_t> pinned_;
-  std::vector<uint32_t> polled_;
+  // Set while AdvanceBoundary re-polls active_; wakes rung meanwhile queue
+  // in boundary_wakes_ instead of inserting into the list being compacted.
+  bool polling_ = false;
+  std::vector<uint32_t> boundary_wakes_;
 
   // Bucketed wheel for near deadlines (< now + kWheelBuckets) and an
   // unsorted far list (with a cached lower bound) for the rest. Entries are

@@ -15,40 +15,24 @@ class WakeSink {
  public:
   virtual ~WakeSink() = default;
   virtual void Wake(uint32_t slot) = 0;
-  // The block's SchedulingPolicy() answer changed (e.g. reconfiguration
-  // loaded a per-cycle service onto a tile); re-read it.
-  virtual void RefreshPolicy(uint32_t slot) { (void)slot; }
 };
 
 // A Clocked object models a synchronous hardware block: it is ticked once per
 // simulated clock cycle. The simulator ticks all registered objects in
 // registration order; blocks that need two-phase (compute/commit) semantics
 // implement it internally by latching outputs.
+//
+// One scheduling contract covers every block (DESIGN.md §4 "The wake
+// contract"): the optimized engine parks a block on its NextActivity
+// declaration — on the timer wheel for a future cycle, bare for
+// kNoActivity — and nothing re-polls a parked block until that deadline or
+// an explicit wake. So every mutation that moves a block's declaration
+// earlier must ring a wake: the mutating method's own RequestWake() when it
+// belongs to the block, or the WakeHint of the block that consumes its
+// output.
 class Clocked {
  public:
   virtual ~Clocked() = default;
-
-  // How the active-set scheduler may treat this block (see DESIGN.md
-  // §"Simulation substrate"):
-  //   kActiveSet    — honors the full quiescence contract: Tick() of a
-  //                   quiescent block is a no-op, and every early end of
-  //                   quiescence is announced through RequestWake()/WakeHint.
-  //                   The scheduler parks the block and wakes it from the
-  //                   timer wheel or a wake call.
-  //   kEveryCycle   — Tick() does per-executed-cycle work by design (cached
-  //                   clocks used by external callers, per-cycle integrals
-  //                   compensated only across *skipped* windows). Ticked on
-  //                   every executed cycle exactly as before active sets;
-  //                   NextActivity still bounds skips.
-  //   kBoundaryPoll — quiescent ticks are no-ops, but NextActivity depends on
-  //                   state that other code mutates without ringing a wake
-  //                   (e.g. a service tick enqueuing into a MAC or memory
-  //                   controller it holds no wake handle for). Re-polled at
-  //                   every executed-cycle boundary instead of parked on the
-  //                   wheel; DESIGN.md §4 lists the users and the wake each
-  //                   one lacks.
-  enum class SchedPolicy : uint8_t { kActiveSet = 0, kEveryCycle = 1, kBoundaryPoll = 2 };
-  [[nodiscard]] virtual SchedPolicy SchedulingPolicy() const { return SchedPolicy::kActiveSet; }
 
   // Advance one cycle. `now` is the cycle being executed.
   virtual void Tick(Cycle now) = 0;
@@ -61,9 +45,10 @@ class Clocked {
   //   - kNoActivity       : idle until external input arrives.
   // The declaration must be *pure*: absent this block's own Tick() and
   // external input, repeated polls return the same answer. The active-set
-  // scheduler parks on it; a block whose quiescence ends early (input
-  // arrives) must be woken via RequestWake()/WakeHint by whoever delivered
-  // the input. Declaring a cycle too late breaks simulations (missed work);
+  // scheduler parks on it and does not poll it again until the declared
+  // cycle; a block whose quiescence ends early (input arrives) must be woken
+  // via RequestWake()/WakeHint by whoever delivered the input. Declaring a
+  // cycle too late breaks simulations (missed work; audit mode reports it);
   // when in doubt, return `now`. The default keeps unported blocks
   // cycle-accurate.
   [[nodiscard]] virtual Cycle NextActivity(Cycle now) const {
@@ -88,23 +73,14 @@ class Clocked {
   // registration order takes effect this cycle; from a later block, next
   // cycle — exactly when a tick-everything loop would have seen the input).
   // Callable from const methods (a const query that flips cached state, e.g.
-  // a link-lock poll, still ends quiescence). Always safe to call: waking an
+  // a link-lock poll, still ends quiescence), including from inside another
+  // block's NextActivity poll. Always safe to call: waking an
   // already-active or genuinely idle block is a no-op tick at worst, never a
   // behavior change. Must only be called from the thread running this
   // block's simulator — see DESIGN.md for the full contract.
   void RequestWake() const {
     if (wake_sink_ != nullptr) {
       wake_sink_->Wake(wake_slot_);
-    }
-  }
-
-  // Tells the schedule this block's SchedulingPolicy() answer changed (a
-  // tile's policy follows the accelerator loaded onto it). Call after any
-  // mutation that can change the answer; same threading rules as
-  // RequestWake(). Conservatively re-activates the block.
-  void RequestPolicyRefresh() const {
-    if (wake_sink_ != nullptr) {
-      wake_sink_->RefreshPolicy(wake_slot_);
     }
   }
 

@@ -98,9 +98,9 @@ void Simulator::SkipAhead(Cycle limit) {
   if (!skip_enabled_ || now_ >= limit) {
     return;
   }
-  // O(1) when any kActiveSet block is busy; otherwise the earliest pinned /
-  // boundary-poll declaration or live wheel deadline — the minimum of every
-  // block's NextActivity, since declarations are pure.
+  // O(1) when any block is busy; otherwise the earliest live wheel
+  // deadline — the minimum of every block's NextActivity, since declarations
+  // are pure and every change to one rings a wake.
   Cycle target = sched_.EarliestWork(now_);
   if (target <= now_) {
     return;

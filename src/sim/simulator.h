@@ -91,7 +91,7 @@ class Simulator {
   void SetSkipEnabled(bool enabled);
 
   // Audit mode, for tests and CI: after every executed cycle (and every
-  // fast-forward) re-polls each parked kActiveSet block and records a
+  // fast-forward) re-polls each parked or wheeled block and records a
   // violation for any whose NextActivity(now) <= now — a block with work
   // that no wake put back on the active list. Such a block would silently
   // skip ticks it owes; the reference engine would have run them. Checks

@@ -69,11 +69,22 @@ bool AbuseDriver::PhaseActive(AttackKind kind, Cycle now, Cycle* period) const {
 
 void AbuseDriver::Tick(Cycle now) {
   now_ = now;
+  bool flipped = false;
   for (int k = 0; k < kNumAttackKinds; ++k) {
     const bool was = active_[k];
     active_[k] = PhaseActive(static_cast<AttackKind>(k), now, nullptr);
     if (active_[k] && !was) {
       counters_.Add("abuse.phases_started");
+    }
+    flipped = flipped || active_[k] != was;
+  }
+  if (flipped) {
+    // The data-plane attackers read these flags from their own tiles'
+    // declarations; the driver does not know which tiles host them, so every
+    // tile is woken. Flips happen a handful of times per campaign, and a
+    // tile with nothing to do re-parks at the next boundary.
+    for (TileId t = 0; t < os_->num_tiles(); ++t) {
+      os_->tile(t).RequestWake();
     }
   }
 

@@ -131,15 +131,10 @@ class FloodAttacker : public Accelerator {
     (void)api;  // Responses and bounces are ignored; the flood continues.
   }
   void Tick(TileApi& api) override;
+  // APIARY-WAKE(AbuseDriver::Tick): a campaign-flag flip wakes every tile.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     return (active_ != nullptr && *active_ && victim_ != kInvalidCapRef) ? now
                                                                          : kNoActivity;
-  }
-  // The campaign flag is flipped by the driver block with no wake path into
-  // this tile — boundary-poll so the flip is seen the same cycle the legacy
-  // every-block loop would have seen it.
-  [[nodiscard]] Clocked::SchedPolicy SchedulingPolicy() const override {
-    return Clocked::SchedPolicy::kBoundaryPoll;
   }
 
   std::string name() const override { return "flood_attacker"; }
@@ -169,15 +164,12 @@ class ProbeAttacker : public Accelerator {
 
   void OnMessage(const Message& msg, TileApi& api) override;
   void Tick(TileApi& api) override;
+  // APIARY-WAKE(AbuseDriver::Tick): a campaign-flag flip wakes every tile.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override {
     if (active_ == nullptr || !*active_) {
       return kNoActivity;
     }
     return next_probe_ > now ? next_probe_ : now;
-  }
-  // Same as FloodAttacker: re-armed by a flag flip no wake path announces.
-  [[nodiscard]] Clocked::SchedPolicy SchedulingPolicy() const override {
-    return Clocked::SchedPolicy::kBoundaryPoll;
   }
 
   std::string name() const override { return "probe_attacker"; }

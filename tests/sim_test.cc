@@ -449,8 +449,8 @@ TEST(SimulatorTest, DoubleUnregisterIsHarmless) {
 }
 
 // Randomized skip oracle: timed probes re-arm themselves and feed parked
-// probes (through RequestWake) and boundary-poll probes (no wake, visible
-// from the next cycle on); events wake, poke, chain and unregister probes.
+// probes (through RequestWake); events wake, poke, chain and unregister
+// probes.
 // Every jump must land exactly on the brute-force minimum of every live
 // probe's NextActivity, the next pending event and the end of the run; no
 // executed cycle may be idle; and every probe must do its work on the same
@@ -459,7 +459,7 @@ struct ProbeZoo;
 
 class ZooProbe : public Clocked {
  public:
-  enum class Kind { kTimed, kParked, kPolled };
+  enum class Kind { kTimed, kParked };
   ZooProbe(ProbeZoo* zoo, Kind kind, Cycle first) : zoo_(zoo), kind_(kind), next_(first) {}
 
   void Tick(Cycle now) override;
@@ -469,24 +469,16 @@ class ZooProbe : public Clocked {
         return next_ > now ? next_ : now;
       case Kind::kParked:
         return pending_ ? now : kNoActivity;
-      case Kind::kPolled:
-        return ready_at_ > now ? ready_at_ : now;
     }
     return now;
   }
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override {
-    return kind_ == Kind::kPolled ? SchedPolicy::kBoundaryPoll : SchedPolicy::kActiveSet;
-  }
   std::string DebugName() const override { return "zoo_probe"; }
 
-  // Input from another block or an event: a parked probe is woken, a polled
-  // probe's input becomes visible at `ready` with no wake at all.
-  void Feed(Cycle ready) {
+  // Input from another block or an event: a parked probe is woken.
+  void Feed() {
     if (kind_ == Kind::kParked) {
       pending_ = true;
       RequestWake();
-    } else if (kind_ == Kind::kPolled) {
-      ready_at_ = std::min(ready_at_, ready);
     }
   }
 
@@ -498,7 +490,6 @@ class ZooProbe : public Clocked {
   Kind kind_;
   Cycle next_;  // kTimed: the next cycle with work.
   bool pending_ = false;
-  Cycle ready_at_ = kNoActivity;
 };
 
 // Sees every jump (OnFastForward runs before the clock moves) and never
@@ -521,7 +512,7 @@ struct ProbeZoo {
   ProbeZoo(uint64_t seed, bool optimized) : rng(seed) {
     sim.SetSkipEnabled(optimized);
     for (int i = 0; i < 12; ++i) {
-      const auto kind = static_cast<ZooProbe::Kind>(i % 3);
+      const auto kind = static_cast<ZooProbe::Kind>(i % 2);
       probes.push_back(std::make_unique<ZooProbe>(this, kind, rng.NextBelow(500)));
       sim.Register(probes.back().get());
     }
@@ -540,7 +531,7 @@ struct ProbeZoo {
       work_cycles.insert(now);
       switch (rng.NextBelow(4)) {
         case 0:
-          RandomProbe().Feed(now + 1 + rng.NextBelow(50));
+          RandomProbe().Feed();
           break;
         case 1:
           ScheduleEvent(now + 1 + rng.NextBelow(2'000));
@@ -594,17 +585,14 @@ void ZooProbe::Tick(Cycle now) {
     case Kind::kTimed:
       next_ = now + 1 + zoo_->rng.NextBelow(400);
       if (zoo_->rng.NextBool(0.6)) {
-        zoo_->RandomProbe().Feed(now + 1 + zoo_->rng.NextBelow(50));
+        zoo_->RandomProbe().Feed();
       }
       break;
     case Kind::kParked:
       pending_ = false;
       if (zoo_->rng.NextBool(0.3)) {
-        zoo_->RandomProbe().Feed(now + 1 + zoo_->rng.NextBelow(50));
+        zoo_->RandomProbe().Feed();
       }
-      break;
-    case Kind::kPolled:
-      ready_at_ = kNoActivity;
       break;
   }
 }
@@ -730,43 +718,6 @@ TEST(SimulatorTest, RecycledSlotDoesNotAliasStaleWakes) {
   new_tenant.RequestWake();
   sim.Run(3);
   ASSERT_EQ(new_tenant.processed_at.size(), 1u);
-}
-
-// A block whose SchedulingPolicy changes mid-run (a tile's policy follows
-// the accelerator loaded onto it) announces it via RequestPolicyRefresh.
-class PolicySwitchBlock : public Clocked {
- public:
-  void Tick(Cycle now) override { ticked_at.push_back(now); }
-  [[nodiscard]] Cycle NextActivity(Cycle) const override { return kNoActivity; }
-  [[nodiscard]] SchedPolicy SchedulingPolicy() const override { return policy; }
-  std::string DebugName() const override { return "policy_switch"; }
-
-  SchedPolicy policy = SchedPolicy::kActiveSet;
-  std::vector<Cycle> ticked_at;
-};
-
-TEST(SimulatorTest, PolicyRefreshMidRunIsFollowed) {
-  Simulator sim;
-  CountingBlock anchor;
-  sim.Register(&anchor);
-  PolicySwitchBlock block;
-  sim.Register(&block);
-  sim.Run(5);
-  // kActiveSet + kNoActivity: parked after the first boundary.
-  const size_t parked_ticks = block.ticked_at.size();
-  EXPECT_LE(parked_ticks, 1u);
-
-  block.policy = Clocked::SchedPolicy::kEveryCycle;
-  block.RequestPolicyRefresh();
-  sim.Run(5);
-  // Pinned now: every executed cycle ticks it despite the idle declaration.
-  EXPECT_EQ(block.ticked_at.size(), parked_ticks + 5);
-
-  block.policy = Clocked::SchedPolicy::kActiveSet;
-  block.RequestPolicyRefresh();
-  sim.Run(5);
-  // Back to parkable: at most the conservative re-activation tick.
-  EXPECT_LE(block.ticked_at.size(), parked_ticks + 5 + 1);
 }
 
 // --- The autoscaler's lazily folded region-cycle integral. ---

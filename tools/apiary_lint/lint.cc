@@ -456,9 +456,9 @@ LintConfig DefaultConfig() {
   // every survivor carries its own audit trail.
   config.global_state_exempt_prefixes = {};
 
-  // Domain confinement: these layers hold the per-domain simulation state
-  // that ROADMAP item 1 shards across worker threads. A raw pointer or
-  // reference member crossing between them is an edge a sharded run would
+  // Domain confinement: these layers hold per-simulator state, and two
+  // simulators may run on two threads. A raw pointer or reference member
+  // crossing between them is an edge two simulators on two threads would
   // race on unless it rides one of the registered channel types below.
   config.confined_layers = {"sim", "noc", "core"};
   // Sanctioned crossing points: the simulator substrate every block is
@@ -485,11 +485,8 @@ LintConfig DefaultConfig() {
   config.sync_allowed_prefixes = {"src/sim/parallel/"};
 
   // Wake path: what counts as a visible wake integration. Firing or handing
-  // out a wake handle proves input delivery ends quiescence; overriding
-  // SchedulingPolicy proves the block opted out of parking entirely
-  // (kEveryCycle / kBoundaryPoll are re-polled, never parked).
-  config.wake_evidence = {"RequestWake(", "RequestPolicyRefresh(", "WakeHint", ".Wake(",
-                          "SchedulingPolicy("};
+  // out a wake handle proves input delivery ends quiescence.
+  config.wake_evidence = {"RequestWake(", "WakeHint", ".Wake("};
   return config;
 }
 
@@ -963,9 +960,9 @@ void CheckGlobalState(const SourceFile& file, const LintConfig& config,
     }
     findings->push_back(
         {file.path, lineno, "apiary-global-state",
-         what + " is process-global mutable state a sharded simulation would race "
-                "on; make it domain-local (SimContext) or annotate the declaration "
-                "with // APIARY-SHARED(<domain>): <reason>"});
+         what + " is process-global mutable state two simulators on two threads "
+                "would race on; make it domain-local (SimContext) or annotate the "
+                "declaration with // APIARY-SHARED(<domain>): <reason>"});
   };
 
   // Evaluates one flushed statement. `other_depth` counts enclosing braces
@@ -1102,7 +1099,7 @@ void CheckSyncDiscipline(const SourceFile& file, const LintConfig& config,
                  (config.sync_allowed_prefixes.empty()
                       ? std::string("parallel home")
                       : config.sync_allowed_prefixes.front()) +
-                 " so the sharded engine (ROADMAP item 1) has one concurrency "
+                 " so two simulators on two threads share one concurrency "
                  "surface to audit"});
       }
     }
@@ -1273,7 +1270,7 @@ void CheckDomainConfinement(const std::vector<SourceFile>& files, const LintConf
                "member '" + member + "' holds a raw pointer/reference to " + type +
                    " (" + owner + "-owned) from src/" + layer + "/ — cross-domain "
                    "state must ride PacketRef, a capability handle, or a registered "
-                   "channel type so domains stay shardable (ROADMAP item 1)"});
+                   "channel type so two simulators on two threads never share it"});
         }
       }
     }
@@ -1514,9 +1511,9 @@ void CheckWakePath(const std::vector<SourceFile>& files, const LintConfig& confi
           {file.path, def_line, "apiary-wake-path",
            "NextActivity can return kNoActivity (idle until external input) but no "
            "wake path is visible in this file pair — whoever delivers input to a "
-           "parked block must fire RequestWake()/WakeHint (or the block opts out "
-           "via SchedulingPolicy()); if the waker lives elsewhere, annotate the "
-           "definition with // APIARY-WAKE(<source>): <reason>"});
+           "parked block must fire RequestWake()/WakeHint; if the waker lives "
+           "elsewhere, annotate the definition with "
+           "// APIARY-WAKE(<source>): <reason>"});
     }
   }
 }

@@ -177,9 +177,9 @@ struct LintConfig {
   std::vector<std::string> global_state_exempt_prefixes;
 
   // --- apiary-domain-confinement ---
-  // The layers whose types form sharding domains: a raw pointer/reference
-  // member to one of these types from a *different* layer is a cross-domain
-  // edge that threads would race on.
+  // The layers whose types form per-simulator domains: a raw
+  // pointer/reference member to one of these types from a *different* layer
+  // is a cross-domain edge that two simulators on two threads would race on.
   std::vector<std::string> confined_layers;
   // Registered channel/handle types that are the sanctioned way to cross a
   // domain boundary (the NI injection surface, the simulator substrate, the
@@ -194,8 +194,7 @@ struct LintConfig {
 
   // --- apiary-wake-path ---
   // Substrings that count as a visible wake integration in a block's
-  // .h/.cc pair: firing or handing out a wake, or opting out of parking
-  // via a SchedulingPolicy override.
+  // .h/.cc pair: firing or handing out a wake.
   std::vector<std::string> wake_evidence;
 };
 
@@ -224,7 +223,7 @@ void CheckHotPath(const SourceFile& file, const LintConfig& config,
 // Shared-state analysis (DESIGN.md "Domain confinement"): under src/, any
 // non-const namespace-scope global, function-local static mutable (Meyers
 // singleton included), or mutable static data member is process-shared
-// state that a sharded simulation would race on. Survivors must carry an
+// state that two simulators on two threads would race on. Survivors must carry an
 // // APIARY-SHARED(<domain>): <reason> annotation on or above the line.
 void CheckGlobalState(const SourceFile& file, const LintConfig& config,
                       std::vector<Finding>* findings);
@@ -249,8 +248,7 @@ void CheckOpcodeCoverage(const std::vector<SourceFile>& files, const LintConfig&
 // of a .h/.cc pair): under src/, a NextActivity() definition whose body can
 // return kNoActivity declares "idle until external input" — the active-set
 // scheduler will park the block on it. The pair must then show a wake
-// integration (RequestWake/RequestPolicyRefresh/WakeHint, or a
-// SchedulingPolicy opt-out), or the definition must carry an
+// integration (RequestWake/WakeHint), or the definition must carry an
 // // APIARY-WAKE(<source>): <reason> annotation naming who wakes it. A
 // parked block whose input arrives with no wake is missed work, not a
 // perf loss (DESIGN.md §"Simulation substrate").

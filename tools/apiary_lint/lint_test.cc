@@ -763,13 +763,15 @@ TEST(WakePath, EvidenceAnywhereInThePairClears) {
       "apiary-wake-path"));
 }
 
-TEST(WakePath, SchedulingPolicyOptOutClears) {
+TEST(WakePath, PolicyOverrideIsNotWakeEvidence) {
+  // There is no opt-out of parking: a block that overrides some scheduling
+  // hook instead of ringing a wake still needs a wake path or an annotation.
   std::string src = kParkedQueue;
   src.insert(src.find("void Tick"),
              "SchedPolicy SchedulingPolicy() const override {\n"
              "    return SchedPolicy::kBoundaryPoll;\n"
              "  }\n  ");
-  EXPECT_FALSE(HasCheck(LintOne("src/noc/rx.h", src), "apiary-wake-path"));
+  EXPECT_TRUE(HasCheck(LintOne("src/noc/rx.h", src), "apiary-wake-path"));
 }
 
 TEST(WakePath, AnnotationNamingTheWakerBlesses) {
