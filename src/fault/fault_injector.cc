@@ -148,7 +148,7 @@ void FaultInjector::Tick(Cycle now) {
 }
 
 // APIARY-WAKE(self): the declaration itself covers every input — plan
-// events by time, and open windows by their close-cycle clamp below.
+// events by time, and open windows by their close cycles.
 Cycle FaultInjector::NextActivity(Cycle now) const {
   Cycle next = kNoActivity;
   if (next_event_ < plan_.events.size()) {
@@ -157,14 +157,12 @@ Cycle FaultInjector::NextActivity(Cycle now) const {
   }
   // Window expiry itself is unobservable (every consumer re-checks
   // `now < until`), but the closing cycle is where window-gated state flips;
-  // bounding the jump there keeps RunUntil predicates cycle-exact. A window
-  // whose close cycle has arrived but that Tick has not yet erased still
-  // declares work due NOW: the expiring tick is pending.
+  // bounding the jump there keeps RunUntil predicates cycle-exact. A closed
+  // window left unerased is inert, so it declares nothing; the next Tick
+  // erases it.
   auto clamp_windows = [&next, now](const std::vector<Window>& windows) {
     for (const Window& w : windows) {
-      if (w.until <= now) {
-        next = now;
-      } else if (w.until < next) {
+      if (w.until > now && w.until < next) {
         next = w.until;
       }
     }

@@ -542,5 +542,17 @@ TEST(FaultPlanTest, EventsWithoutHooksAreSkippedNotFatal) {
   EXPECT_TRUE(injector.Exhausted(tb.sim.now()));
 }
 
+TEST(FaultPlanTest, WindowCloseBoundsTheSkipThenDeclaresNothing) {
+  FaultPlan plan;
+  plan.LinkDrop(1'000, 100, 1.0);
+  FaultInjector injector(plan, FaultHooks{});
+  EXPECT_EQ(injector.NextActivity(0), 1'000u);
+  injector.Tick(1'000);  // Opens the window [1000, 1100).
+  EXPECT_EQ(injector.NextActivity(1'001), 1'100u);
+  // Closed but not yet erased (no tick since): inert, so nothing is due.
+  EXPECT_EQ(injector.NextActivity(1'100), kNoActivity);
+  EXPECT_TRUE(injector.Exhausted(1'100));
+}
+
 }  // namespace
 }  // namespace apiary
