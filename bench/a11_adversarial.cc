@@ -159,12 +159,14 @@ struct ScenarioResult {
   std::string attacker_records;
   uint32_t victim_digest = 0;
   uint32_t attacker_digest = 0;
+  bool audit_clean = false;
 };
 
 ScenarioResult RunScenario(AttackKind attack, Mode mode, uint64_t seed,
                            const RunConfig& rc, bool skip_enabled) {
   Simulator sim(250.0);
   sim.SetSkipEnabled(skip_enabled);
+  sim.SetAuditEnabled(true);
   ExternalNetwork net(25);
   sim.Register(&net);
   BoardConfig cfg;
@@ -342,6 +344,7 @@ ScenarioResult RunScenario(AttackKind attack, Mode mode, uint64_t seed,
     r.attacker_records = tmgr.BillingRecords(attacker);
     r.attacker_digest = tmgr.BillingDigest(attacker);
   }
+  r.audit_clean = AuditClean(sim, std::string(AttackKindName(attack)) + " " + ModeName(mode));
   return r;
 }
 
@@ -375,6 +378,7 @@ int main(int argc, char** argv) {
   };
   std::vector<AttackRow> rows;
   bool all_deterministic = true;
+  bool audit_clean = solo.audit_clean;
   for (const AttackKind kind : kAttacks) {
     AttackRow row;
     row.kind = kind;
@@ -389,6 +393,8 @@ int main(int argc, char** argv) {
                         noskip.victim_records == row.on.victim_records &&
                         noskip.attacker_records == row.on.attacker_records;
     all_deterministic = all_deterministic && row.deterministic;
+    audit_clean = audit_clean && row.off.audit_clean && row.on.audit_clean &&
+                  rerun.audit_clean && noskip.audit_clean;
     rows.push_back(std::move(row));
   }
 
@@ -479,5 +485,5 @@ int main(int argc, char** argv) {
     }
     json.WriteFile(json_path);
   }
-  return (all_contained && no_leaks && all_deterministic) ? 0 : 1;
+  return (all_contained && no_leaks && all_deterministic && audit_clean) ? 0 : 1;
 }

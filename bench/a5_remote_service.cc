@@ -57,8 +57,8 @@ double RunRemote() {
   ApiaryOs os_b(board_b);
   // Registered after the boards (tiles first, fabric last) so frame arrival
   // is visible to service tiles on the next cycle — the same order TestBoard
-  // and BenchBoard use, which the network service's boundary-poll scheduling
-  // reproduces exactly.
+  // and BenchBoard use. The MAC's RX wake resumes a parked network-service
+  // tile on exactly that cycle.
   sim.Register(&net);
   for (ApiaryOs* os : {&os_a, &os_b}) {
     Board& b = os == &os_a ? board_a : board_b;

@@ -153,6 +153,7 @@ struct CampaignResult {
   bool crash_looper_quarantined = false;
   bool others_all_healthy = false;
   uint64_t eth_frames_lost = 0;
+  bool audit_clean = false;
 };
 
 // Tile map (4x4): 0 mgmt | 1 svc0, 2 client0, 3 standby for svc0
@@ -160,6 +161,7 @@ struct CampaignResult {
 //                 13 svc3, 14 client3 (the fault-free control app).
 CampaignResult RunCampaign(bool chaos, uint64_t seed) {
   Simulator sim(250.0);
+  sim.SetAuditEnabled(true);
   ExternalNetwork net(25);
   sim.Register(&net);
   BoardConfig cfg;
@@ -296,6 +298,7 @@ CampaignResult RunCampaign(bool chaos, uint64_t seed) {
     }
   }
   r.eth_frames_lost = net.counters().Get("extnet.dropped_burst");
+  r.audit_clean = AuditClean(sim, chaos ? "chaos campaign" : "baseline campaign");
   return r;
 }
 
@@ -371,6 +374,7 @@ int main(int argc, char** argv) {
     json.Metric("all_healthy", chaos.others_all_healthy ? 1 : 0);
     json.WriteFile(json_path);
   }
-  return (chaos.crash_looper_quarantined && chaos.others_all_healthy && contained) ? 0
-                                                                                   : 1;
+  const bool ok = chaos.crash_looper_quarantined && chaos.others_all_healthy && contained &&
+                  base.audit_clean && chaos.audit_clean;
+  return ok ? 0 : 1;
 }

@@ -227,6 +227,19 @@ inline bool HasFlag(int argc, char** argv, const std::string& flag) {
   return false;
 }
 
+// For benches that run with audit mode on (Simulator::SetAuditEnabled):
+// true when `sim` recorded no missed wake; otherwise prints the first
+// violation under `label` and returns false, so the bench exits non-zero.
+inline bool AuditClean(const Simulator& sim, const std::string& label) {
+  if (sim.audit_violations() == 0) {
+    return true;
+  }
+  std::printf("[FAIL] %s: %llu missed wake(s) in audit mode, first: %s\n", label.c_str(),
+              static_cast<unsigned long long>(sim.audit_violations()),
+              sim.audit_first_violation().c_str());
+  return false;
+}
+
 }  // namespace apiary
 
 #endif  // BENCH_BENCH_UTIL_H_

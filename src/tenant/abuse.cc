@@ -135,8 +135,10 @@ void AbuseDriver::Tick(Cycle now) {
 
 Cycle AbuseDriver::NextActivity(Cycle now) const {
   for (int k = 0; k < kNumAttackKinds; ++k) {
-    if (PhaseActive(static_cast<AttackKind>(k), now, nullptr)) {
-      return now;  // Mid-phase: poll schedulers / flags every cycle.
+    // Mid-phase: poll schedulers / flags every cycle. A flag still up after
+    // its phase ended is due work too: the tick that lowers it.
+    if (active_[k] || PhaseActive(static_cast<AttackKind>(k), now, nullptr)) {
+      return now;
     }
   }
   Cycle next = kNoActivity;
