@@ -106,11 +106,6 @@ class Accelerator {
   // (TileApi::RequestTick, or the tile's own RequestWake()).
   [[nodiscard]] virtual Cycle NextActivity(Cycle now) const { return now; }
 
-  // Mirrors Clocked::OnFastForward: the simulator jumped to `resume_cycle`;
-  // bring any cached clocks / per-cycle accumulators to the state a
-  // cycle-by-cycle run would have produced.
-  virtual void OnFastForward(Cycle resume_cycle) { (void)resume_cycle; }
-
   virtual std::string name() const = 0;
 
   // Logic-cell footprint charged against the tile region.

@@ -5,10 +5,13 @@
 
 namespace apiary {
 
-Monitor::Monitor(TileId tile, NetworkInterface* ni, MonitorConfig config)
+Monitor::Monitor(TileId tile, NetworkInterface* ni, MonitorConfig config,
+                 const Simulator& sim, const Clocked& owner)
     : tile_(tile),
       ni_(ni),
       config_(config),
+      sim_(sim),
+      owner_(owner),
       cap_table_(config.cap_entries),
       trace_(config.trace_capacity) {}
 
@@ -81,18 +84,18 @@ void Monitor::RaiseFault(const std::string& reason) {
 
 void Monitor::Trace(TraceEvent event, TileId peer, ServiceId service, uint16_t opcode,
                     MsgStatus status) {
-  trace_.Record(TraceRecord{now_, event, tile_, peer, service, opcode, status});
+  trace_.Record(TraceRecord{now(), event, tile_, peer, service, opcode, status});
 }
 
 CapRef Monitor::LookupService(ServiceId service) {
   return cap_table_.FindEndpointForService(service);
 }
 
-bool Monitor::EnqueuePacket(const Message& msg, TileId dst_tile) {
+bool Monitor::EnqueuePacket(const Message& msg, TileId dst_tile, Cycle now) {
   if (outbox_.size() >= config_.outbox_messages) {
     return false;
   }
-  outbox_.push_back(Outbound{now_ + config_.send_pipeline_cycles, dst_tile, msg});
+  outbox_.push_back(Outbound{now + config_.send_pipeline_cycles, dst_tile, msg});
   return true;
 }
 
@@ -180,18 +183,19 @@ SendResult Monitor::SendInternal(Message msg, TileId dst_tile, CapRef mem, CapRe
   }
   // Check both budgets before consuming either, so a denial never leaves a
   // partial charge against the per-tile or tenant-shared bucket.
-  const bool shared_ok = shared_limiter_ == nullptr || shared_limiter_->WouldAllow(now_, flits);
-  if (!limiter_.WouldAllow(now_, flits) || !shared_ok) {
+  const Cycle now = this->now();
+  const bool shared_ok = shared_limiter_ == nullptr || shared_limiter_->WouldAllow(now, flits);
+  if (!limiter_.WouldAllow(now, flits) || !shared_ok) {
     counters_.Add(send_rate_limited_id_);
     Trace(TraceEvent::kDenySend, dst_tile, msg.dst_service, msg.opcode,
           MsgStatus::kRateLimited);
     return SendResult{MsgStatus::kRateLimited};
   }
-  limiter_.TryConsume(now_, flits);
+  limiter_.TryConsume(now, flits);
   if (shared_limiter_ != nullptr) {
-    shared_limiter_->TryConsume(now_, flits);
+    shared_limiter_->TryConsume(now, flits);
   }
-  if (!EnqueuePacket(msg, dst_tile)) {
+  if (!EnqueuePacket(msg, dst_tile, now)) {
     counters_.Add(send_backpressure_id_);
     return SendResult{MsgStatus::kBackpressure};
   }
@@ -204,7 +208,8 @@ SendResult Monitor::SendInternal(Message msg, TileId dst_tile, CapRef mem, CapRe
 }
 
 void Monitor::FlushOutbox() {
-  while (!outbox_.empty() && outbox_.front().ready_at <= now_) {
+  const Cycle now = this->now();
+  while (!outbox_.empty() && outbox_.front().ready_at <= now) {
     Outbound& out = outbox_.front();
     const Vc vc = out.msg.kind == MsgKind::kResponse ? Vc::kResponse : Vc::kRequest;
     // Pre-check injection space: serialization consumes the message (the
@@ -222,7 +227,7 @@ void Monitor::FlushOutbox() {
     packet->vc = vc;
     packet->arb_class = arb_class_;
     SerializeMessageInto(std::move(out.msg), *packet);
-    (void)ni_->Inject(std::move(packet), now_);  // Cannot fail: space checked above.
+    (void)ni_->Inject(std::move(packet), now);  // Cannot fail: space checked above.
     counters_.Add(flits_sent_id_, flits);
     outbox_.pop_front();
   }
@@ -244,7 +249,7 @@ void Monitor::BounceWithError(const Message& request, MsgStatus status) {
   counters_.Add(error_bounces_id_);
   // Bypasses the rate limiter (the error path is monitor-owned) but still
   // respects the outbox bound so a flood cannot amplify unboundedly.
-  EnqueuePacket(err, request.src_tile);
+  EnqueuePacket(err, request.src_tile, now());
 }
 
 void Monitor::DeliverIncoming(Message msg) {
@@ -261,8 +266,7 @@ void Monitor::DeliverIncoming(Message msg) {
   inbox_.push_back(std::move(msg));
 }
 
-void Monitor::BeginCycle(Cycle now) {
-  now_ = now;
+void Monitor::BeginCycle() {
   while (true) {
     PacketRef packet = ni_->Retrieve();
     if (packet == nullptr) {

@@ -25,6 +25,7 @@
 #include "src/noc/rate_limiter.h"
 #include "src/sim/clocked.h"
 #include "src/sim/ring_buffer.h"
+#include "src/sim/simulator.h"
 #include "src/stats/histogram.h"
 #include "src/stats/summary.h"
 
@@ -47,7 +48,12 @@ struct MonitorConfig {
 
 class Monitor : public TileApi {
  public:
-  Monitor(TileId tile, NetworkInterface* ni, MonitorConfig config);
+  // `owner` is the block whose clock this monitor reads from `sim` (the
+  // tile holding it): trace stamps, pipeline ready times and rate-limit
+  // checks all see the cycle Simulator::ClockOf(owner) gives, also when the
+  // owner is parked and the caller is outside its tick.
+  Monitor(TileId tile, NetworkInterface* ni, MonitorConfig config, const Simulator& sim,
+          const Clocked& owner);
 
   // ------------------------------------------------------------------
   // Trusted (kernel-side) configuration interface.
@@ -89,8 +95,8 @@ class Monitor : public TileApi {
   // ------------------------------------------------------------------
   // Per-cycle processing, driven by the owning Tile.
   // ------------------------------------------------------------------
-  // Updates the monitor's clock, drains the NI, applies incoming policy.
-  void BeginCycle(Cycle now);
+  // Drains the NI and applies incoming policy.
+  void BeginCycle();
   // Moves pipeline-ready outbound messages into the NI.
   void FlushOutbox();
 
@@ -109,12 +115,6 @@ class Monitor : public TileApi {
     return kNoActivity;
   }
 
-  // The owning Tile fast-forwarded: advance the cached clock to the value
-  // the last pre-resume BeginCycle would have left (resume - 1), so
-  // external callers (kernel Configure, event callbacks) observe the same
-  // timestamps as a cycle-by-cycle run.
-  void OnFastForward(Cycle resume_cycle) { now_ = resume_cycle - 1; }
-
   // Delivered-but-unconsumed messages awaiting the accelerator's Receive().
   bool HasPendingInbox() const { return !inbox_.empty(); }
 
@@ -127,7 +127,7 @@ class Monitor : public TileApi {
   using TileApi::Reply;
   std::optional<Message> Receive() override;
   CapRef LookupService(ServiceId service) override;
-  Cycle now() const override { return now_; }
+  Cycle now() const override { return sim_.ClockOf(owner_); }
   TileId tile() const override { return tile_; }
   AppId app() const override { return app_; }
   ServiceId service() const override { return service_; }
@@ -149,14 +149,15 @@ class Monitor : public TileApi {
   bool FillGrant(CapRef mem, SegmentGrant* out);
   void DeliverIncoming(Message msg);
   void BounceWithError(const Message& request, MsgStatus status);
-  bool EnqueuePacket(const Message& msg, TileId dst_tile);
+  bool EnqueuePacket(const Message& msg, TileId dst_tile, Cycle now);
   void Trace(TraceEvent event, TileId peer, ServiceId service, uint16_t opcode,
              MsgStatus status);
 
   TileId tile_;
   NetworkInterface* ni_;
   MonitorConfig config_;
-  Cycle now_ = 0;
+  const Simulator& sim_;
+  const Clocked& owner_;
 
   AppId app_ = kInvalidApp;
   ServiceId service_ = kInvalidService;

@@ -4,8 +4,9 @@
 
 namespace apiary {
 
-Tile::Tile(TileId id, NetworkInterface* ni, MonitorConfig config, Cycle reconfig_cycles)
-    : id_(id), monitor_(id, ni, config), reconfig_cycles_(reconfig_cycles) {
+Tile::Tile(TileId id, NetworkInterface* ni, MonitorConfig config, Cycle reconfig_cycles,
+           const Simulator& sim)
+    : id_(id), monitor_(id, ni, config, sim, *this), reconfig_cycles_(reconfig_cycles) {
   // Packets landing in the NI's delivery queue are this tile's input: route
   // the NI's delivery-side wake here so a parked tile resumes the cycle the
   // legacy every-block loop would have drained the packet.
@@ -87,19 +88,8 @@ Cycle Tile::NextActivity(Cycle now) const {
   return next;
 }
 
-void Tile::OnFastForward(Cycle resume_cycle) {
-  monitor_.OnFastForward(resume_cycle);
-  // Only an accelerator that would actually have been ticked observes the
-  // jump; gated slots (wedged, stopped, mid-reconfiguration) stay untouched,
-  // exactly as in a cycle-by-cycle run.
-  if (accel_ != nullptr && booted_ && !reconfiguring_ && !seu_wedged_ &&
-      monitor_.fault_state() == TileFaultState::kHealthy) {
-    accel_->OnFastForward(resume_cycle);
-  }
-}
-
 void Tile::Tick(Cycle now) {
-  monitor_.BeginCycle(now);
+  monitor_.BeginCycle();
 
   if (reconfiguring_ && now >= reconfig_done_at_) {
     reconfiguring_ = false;

@@ -21,12 +21,15 @@ enum class FaultPolicy : uint8_t {
 
 class Tile : public Clocked {
  public:
-  Tile(TileId id, NetworkInterface* ni, MonitorConfig config, Cycle reconfig_cycles);
+  // `sim` is the simulator the tile is registered with; the monitor reads
+  // the tile's clock from it.
+  Tile(TileId id, NetworkInterface* ni, MonitorConfig config, Cycle reconfig_cycles,
+       const Simulator& sim);
 
   // Loads `accel` into the slot. Takes `reconfig_cycles` of partial
-  // reconfiguration — counted from `now`, the caller's current cycle (a
-  // parked tile's own cached clock can be arbitrarily stale) — before the
-  // accelerator boots; pass `immediate` for time-zero board bring-up.
+  // reconfiguration — counted from `now`, the caller's current cycle —
+  // before the accelerator boots; pass `immediate` for time-zero board
+  // bring-up.
   void Configure(std::unique_ptr<Accelerator> accel, bool immediate, Cycle now);
 
   // Swaps the current (preemptible) accelerator's context out and loads a
@@ -40,7 +43,6 @@ class Tile : public Clocked {
   // itself declares idleness. Wedged/stopped slots contribute nothing: their
   // accelerator is not ticked in a cycle-by-cycle run either.
   [[nodiscard]] Cycle NextActivity(Cycle now) const override;
-  void OnFastForward(Cycle resume_cycle) override;
   std::string DebugName() const override;
 
   Monitor& monitor() { return monitor_; }

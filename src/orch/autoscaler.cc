@@ -73,20 +73,19 @@ void Autoscaler::PushMembership() {
 }
 
 void Autoscaler::Tick(Cycle now) {
-  now_ = now;
   // Every replica-owned region costs a region-cycle whether it is serving,
   // loading, or draining — the honest provisioning cost. This cycle counts
   // at the size the set has when this block runs in it.
   AccrueTo(now + 1);
   if (config_.poll_period != 0 && now % config_.poll_period == 0) {
-    Poll();
+    Poll(now);
   }
 }
 
-void Autoscaler::Poll() {
+void Autoscaler::Poll(Cycle now) {
   // Always consume the window so each poll sees only its own interval.
   const Histogram window = lb_->TakeWindowLatency();
-  const uint64_t queue_sum = lb_->outstanding_cycle_sum(now_);
+  const uint64_t queue_sum = lb_->outstanding_cycle_sum(now);
   const uint64_t queue_delta = queue_sum - last_queue_sum_;
   last_queue_sum_ = queue_sum;
 
@@ -98,11 +97,11 @@ void Autoscaler::Poll() {
   // Bound enforcement (SetBounds / kOpOrchScale) bypasses the cooldown: the
   // operator's floor and ceiling are not advisory.
   if (live > config_.max_replicas) {
-    ScaleDown();
+    ScaleDown(now);
     return;
   }
   if (live < config_.min_replicas) {
-    ScaleUp();
+    ScaleUp(now);
     return;
   }
 
@@ -148,18 +147,18 @@ void Autoscaler::Poll() {
   // last scaling action, or the loop oscillates on the diurnal ramps.
   if (want_up && live < config_.max_replicas) {
     down_streak_ = 0;
-    ScaleUp();
+    ScaleUp(now);
     return;
   }
   down_streak_ = want_down ? down_streak_ + 1 : 0;
   if (down_streak_ >= config_.down_stable_polls && live > config_.min_replicas &&
-      now_ - last_scale_at_ >= config_.cooldown_cycles) {
+      now - last_scale_at_ >= config_.cooldown_cycles) {
     down_streak_ = 0;
-    ScaleDown();
+    ScaleDown(now);
   }
 }
 
-void Autoscaler::ScaleUp() {
+void Autoscaler::ScaleUp(Cycle now) {
   if (admit_ && !admit_()) {
     // Tenant tile quota (or other policy) refuses the new region; stay at
     // the current size and retry on a later poll.
@@ -180,7 +179,7 @@ void Autoscaler::ScaleUp() {
   }
   placer_->Reserve(tile);
   op_pending_ = true;
-  last_scale_at_ = now_;
+  last_scale_at_ = now;
   target_ = live_replicas() + 1;
   Replica r;
   r.tile = tile;
@@ -214,7 +213,7 @@ void Autoscaler::ScaleUp() {
   });
 }
 
-void Autoscaler::ScaleDown() {
+void Autoscaler::ScaleDown(Cycle now) {
   // LIFO: retire the newest live replica; the oldest keep their warm state.
   auto it = std::find_if(replicas_.rbegin(), replicas_.rend(), [](const Replica& x) {
     return x.state == ReplicaState::kLive;
@@ -225,7 +224,7 @@ void Autoscaler::ScaleDown() {
   Replica& victim = *it;
   victim.state = ReplicaState::kDraining;
   op_pending_ = true;
-  last_scale_at_ = now_;
+  last_scale_at_ = now;
   target_ = live_replicas();
   // Out of the rotation immediately: no new work lands on a draining
   // replica, while its in-flight requests finish through the recorded

@@ -128,9 +128,10 @@ class Autoscaler : public Clocked {
     ReplicaState state = ReplicaState::kLoading;
   };
 
-  void Poll();
-  void ScaleUp();
-  void ScaleDown();
+  // `now` is the tick's cycle.
+  void Poll(Cycle now);
+  void ScaleUp(Cycle now);
+  void ScaleDown(Cycle now);
   // Pushes the current live-endpoint set to the balancer.
   void PushMembership();
   // Folds the region-cycle integral through cycle `end` - 1 at the current
@@ -161,7 +162,6 @@ class Autoscaler : public Clocked {
   uint64_t scale_downs_ = 0;
   uint64_t tile_cycles_ = 0;
   Cycle accrued_to_ = 0;  // First cycle not yet folded into tile_cycles_.
-  Cycle now_ = 0;
   CounterSet counters_;
 };
 

@@ -68,8 +68,7 @@ bool Supervisor::IcapFree() const {
 }
 
 void Supervisor::OnTileFault(TileId tile, const std::string& reason) {
-  const Cycle now = os_->sim().now();
-  HandleFault(tile, reason, now > 0 ? now - 1 : 0);
+  HandleFault(tile, reason, os_->sim().ClockOf(*this));
   RequestWake();  // A recovery may now be due.
 }
 

@@ -67,12 +67,11 @@ class Supervisor : public Clocked {
   void SetStandby(ServiceId service, TileId standby_tile);
 
   // Fault notification from an external detector (MgmtService's watchdog).
-  // Idempotent while a recovery is in progress. The report is stamped
-  // sim().now() - 1 (0 at cycle 0): callers must tick before the supervisor,
-  // which is registered after every tile (a detector is a tile's
-  // accelerator), or run outside Tick (event callbacks, harness code
-  // between runs) — in both cases the cycle a cycle-by-cycle supervisor
-  // last ticked. The supervisor's own poll stamps its tick's `now`.
+  // Idempotent while a recovery is in progress. The report is stamped with
+  // the supervisor's clock, Simulator::ClockOf(*this): the cycle a
+  // supervisor ticked every cycle would last have seen, wherever the caller
+  // sits in the tick order. The supervisor's own poll stamps its tick's
+  // `now`.
   void OnTileFault(TileId tile, const std::string& reason);
 
   // Policy escalation: fail-stop `tile` and leave it quarantined (no

@@ -122,11 +122,12 @@ void ActiveSchedule::ExecuteTicks(Cycle now) {
     if (slots_[slot].no_tick_before > now) {
       continue;
     }
-    Clocked* block = slots_[slot].block;
-    block->Tick(now);
+    MarkReached(slot);
+    slots_[slot].block->Tick(now);
     ++ticked_blocks_;
   }
   ticking_ = false;
+  ClearReached();
 }
 
 void ActiveSchedule::AdvanceBoundary(Cycle now) {

@@ -83,6 +83,17 @@ class ActiveSchedule final : public WakeSink {
   // `*first` when it is not null. Pure; O(slots).
   size_t CountMissedWakes(Cycle now, const Clocked** first) const;
 
+  // Clock queries (Simulator::ClockOf): true once the current cycle's tick
+  // loop has reached `block` in registration order — its own tick included —
+  // whether or not it ticked. ExecuteTicks tracks its own position; the
+  // reference loop reports its position through MarkReached and ends with
+  // ClearReached. False outside a tick loop and for a block bound elsewhere.
+  bool Reached(const Clocked& block) const {
+    return block.wake_sink_ == this && slots_[block.wake_slot_].order < reached_;
+  }
+  void MarkReached(uint32_t slot) { reached_ = slots_[slot].order + 1; }
+  void ClearReached() { reached_ = 0; }
+
   size_t size() const { return live_count_; }
   bool ticking() const { return ticking_; }
 
@@ -153,6 +164,9 @@ class ActiveSchedule final : public WakeSink {
 
   bool ticking_ = false;
   size_t cursor_ = 0;
+  // One past the registration order of the block the tick loop is at; 0
+  // outside a tick loop.
+  uint64_t reached_ = 0;
 
   uint64_t ticked_blocks_ = 0;
   uint64_t wheel_wakes_ = 0;

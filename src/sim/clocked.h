@@ -30,6 +30,13 @@ class WakeSink {
 // earlier must ring a wake: the mutating method's own RequestWake() when it
 // belongs to the block, or the WakeHint of the block that consumes its
 // output.
+//
+// A block keeps no clock of its own. Tick's `now` is the cycle being
+// executed; outside its Tick, a block that needs "the cycle I last saw"
+// asks Simulator::ClockOf, which answers the same in both engines whether
+// the block ticked, parked, or sat through a fast-forward. So a parked
+// block owes nothing for the cycles it skipped: the contract is Tick,
+// NextActivity and wakes.
 class Clocked {
  public:
   virtual ~Clocked() = default;
@@ -54,14 +61,6 @@ class Clocked {
   [[nodiscard]] virtual Cycle NextActivity(Cycle now) const {
     return now;  // Active every cycle unless the block declares otherwise.
   }
-
-  // Called on *every* registered block when the simulator fast-forwards from
-  // the current cycle to `resume_cycle` (the next cycle that will actually
-  // execute). Implementations must leave the block in exactly the state that
-  // ticking through cycles [now, resume_cycle) would have produced — e.g.
-  // advance cached clocks to resume_cycle - 1 (the value a serial pre-tick
-  // observer would hold) and delta-add per-cycle accumulators.
-  virtual void OnFastForward(Cycle resume_cycle) { (void)resume_cycle; }
 
   // Human-readable name for tracing and debug dumps.
   virtual std::string DebugName() const { return "clocked"; }
@@ -91,6 +90,7 @@ class Clocked {
   }
 
  private:
+  friend class ActiveSchedule;  // Reads the binding to answer clock queries.
   // Mutable: RequestWake must be callable from const observers; the binding
   // itself is scheduler bookkeeping, not block state.
   mutable WakeSink* wake_sink_ = nullptr;

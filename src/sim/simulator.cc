@@ -66,8 +66,10 @@ void Simulator::Step() {
     // register new blocks, which then start ticking on the next cycle.
     const size_t count = blocks_.size();
     for (size_t i = 0; i < count; ++i) {
+      sched_.MarkReached(slots_[i]);
       blocks_[i]->Tick(now_);
     }
+    sched_.ClearReached();
     reference_ticked_blocks_ += count;
   }
   ApplyPendingRemovals();
@@ -122,11 +124,6 @@ void Simulator::SkipAhead(Cycle limit) {
 void Simulator::JumpTo(Cycle target) {
   skipped_cycles_ += target - now_;
   ++skips_;
-  // Every block observes the jump, so cached clocks and per-cycle
-  // accumulators stay exactly as a cycle-by-cycle run would leave them.
-  for (Clocked* block : blocks_) {
-    block->OnFastForward(target);
-  }
   now_ = target;
   // Deadlines landing exactly on the jump target are due now.
   sched_.AdvanceBoundary(now_);

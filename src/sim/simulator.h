@@ -68,6 +68,19 @@ class Simulator {
   Cycle now() const { return now_; }
   double frequency_mhz() const { return frequency_mhz_; }
 
+  // The cycle `block` last saw, as if it had ticked every cycle: now() once
+  // this cycle's tick loop has reached the block in registration order (its
+  // own tick included), and now() - 1 before that — in event callbacks, at
+  // boundaries, right after a jump and between runs (0 at cycle 0). Both
+  // engines give the same answer whether the block ticked, parked or was
+  // skipped over, so a block never caches a clock of its own.
+  Cycle ClockOf(const Clocked& block) const {
+    if (sched_.Reached(block)) {
+      return now_;
+    }
+    return now_ > 0 ? now_ - 1 : 0;
+  }
+
   // This simulator's domain context: the home of every pool/arena its
   // blocks allocate from. Installed as the current thread's domain for the
   // duration of Run()/RunUntil(); harnesses that build boards off the run
@@ -125,8 +138,7 @@ class Simulator {
   // active schedule or the event queue needs. No-op when some block is
   // active or in the reference mode.
   void SkipAhead(Cycle limit);
-  // Executes the fast-forward to `target`: counters, the OnFastForward
-  // broadcast over every block in registration order, the clock, and the
+  // Executes the fast-forward to `target`: counters, the clock, and the
   // post-jump boundary re-establishment.
   void JumpTo(Cycle target);
   void ApplyPendingRemovals();

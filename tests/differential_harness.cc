@@ -194,6 +194,11 @@ void CollectBoard(RunResult& r, TestBoard& tb) {
   r.latency = mesh.AggregateLatency().Summary();
   r.express = mesh.AggregateExpressStats();
   r.monitor_counters = tb.os.AggregateMonitorCounters().ToString();
+  for (TileId t = 0; t < tb.os.num_tiles(); ++t) {
+    for (const TraceRecord& record : tb.os.monitor(t).trace().Snapshot()) {
+      r.tile_traces += TraceRecordToString(record) + "\n";
+    }
+  }
 }
 
 void CollectChaos(RunResult& r, const FaultInjector& injector, const Supervisor& sup) {
@@ -212,6 +217,7 @@ void ExpectSameSimulation(const RunResult& run, const RunResult& ref, const std:
   EXPECT_EQ(run.mesh_counters, ref.mesh_counters) << label;
   EXPECT_EQ(run.latency, ref.latency) << label;
   EXPECT_EQ(run.monitor_counters, ref.monitor_counters) << label;
+  EXPECT_TRUE(run.tile_traces == ref.tile_traces) << label << ": a tile's message trace diverged";
   EXPECT_EQ(run.injector_counters, ref.injector_counters) << label;
   EXPECT_EQ(run.fault_trace, ref.fault_trace) << label;
   EXPECT_EQ(run.supervisor_counters, ref.supervisor_counters) << label;

@@ -4,10 +4,10 @@
 // Five workloads run here: serial IPC, serial chaos, the full 8x8 board, a
 // mid-corridor undeploy and an elastic (autoscaled) service. Each test runs
 // a workload in the modes it names, and every run must match the workload's
-// reference run byte for byte: end cycle, debug trace,
-// mesh/monitor/injector/supervisor/tenant/orchestration counters, latency
-// summary, fault records, billing records and digests, and the
-// autoscaler's region-cycle integral.
+// reference run byte for byte: end cycle, debug trace, every tile's
+// message trace, mesh/monitor/injector/supervisor/tenant/orchestration
+// counters, latency summary, fault records, billing records and digests,
+// and the autoscaler's region-cycle integral.
 //
 // Every run has audit mode on (Simulator::SetAuditEnabled): no parked block
 // may ever hold work.
@@ -54,6 +54,7 @@ struct RunResult {
   std::string mesh_counters;
   std::string latency;
   std::string monitor_counters;
+  std::string tile_traces;  // Every tile's monitor trace ring, oldest first.
   std::string injector_counters;
   std::string fault_trace;
   std::string supervisor_counters;

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/accel/checksum.h"
@@ -492,20 +494,6 @@ class ZooProbe : public Clocked {
   bool pending_ = false;
 };
 
-// Sees every jump (OnFastForward runs before the clock moves) and never
-// needs a tick itself.
-class JumpObserver : public Clocked {
- public:
-  explicit JumpObserver(ProbeZoo* zoo) : zoo_(zoo) {}
-  void Tick(Cycle) override {}
-  [[nodiscard]] Cycle NextActivity(Cycle) const override { return kNoActivity; }
-  void OnFastForward(Cycle resume) override;
-  std::string DebugName() const override { return "jump_observer"; }
-
- private:
-  ProbeZoo* zoo_;
-};
-
 struct ProbeZoo {
   static constexpr Cycle kCycles = 40'000;
 
@@ -516,7 +504,6 @@ struct ProbeZoo {
       probes.push_back(std::make_unique<ZooProbe>(this, kind, rng.NextBelow(500)));
       sim.Register(probes.back().get());
     }
-    sim.Register(&observer);
     for (int i = 0; i < 60; ++i) {
       ScheduleEvent(rng.NextBelow(kCycles));
     }
@@ -551,7 +538,25 @@ struct ProbeZoo {
     });
   }
 
-  void CheckJump(Cycle resume) {
+  // Runs the zoo with a RunUntil predicate, which the simulator evaluates at
+  // every boundary, right before it may jump: each jump must land on the
+  // brute-force minimum computed at the boundary it left.
+  void Run() {
+    sim.RunUntil(
+        [this] {
+          if (sim.skips() != skips_seen) {
+            EXPECT_EQ(sim.now(), jump_target) << "jump from " << jumped_from;
+            skips_seen = sim.skips();
+            ++jumps_checked;
+          }
+          jumped_from = sim.now();
+          jump_target = BruteForceMinimum();
+          return false;
+        },
+        kCycles);
+  }
+
+  Cycle BruteForceMinimum() const {
     Cycle expected = kCycles;  // The run's limit.
     for (const auto& p : probes) {
       if (!p->removed) {
@@ -561,17 +566,18 @@ struct ProbeZoo {
     if (!pending_events.empty()) {
       expected = std::min(expected, *pending_events.begin());
     }
-    EXPECT_EQ(resume, expected) << "jump from " << sim.now();
-    ++jumps_checked;
+    return expected;
   }
 
   Simulator sim;
   Rng rng;
   std::vector<std::unique_ptr<ZooProbe>> probes;
-  JumpObserver observer{this};
   std::multiset<Cycle> pending_events;
   std::set<Cycle> work_cycles{0};  // Cycle 0 always executes.
   int removals = 0;
+  uint64_t skips_seen = 0;
+  Cycle jumped_from = 0;
+  Cycle jump_target = 0;
   uint64_t jumps_checked = 0;
 };
 
@@ -597,14 +603,12 @@ void ZooProbe::Tick(Cycle now) {
   }
 }
 
-void JumpObserver::OnFastForward(Cycle resume) { zoo_->CheckJump(resume); }
-
 TEST(SimulatorSkipTest, EverySkipLandsOnTheBruteForceMinimum) {
   for (const uint64_t seed : {1u, 2u, 3u}) {
     ProbeZoo optimized(seed, /*optimized=*/true);
-    optimized.sim.Run(ProbeZoo::kCycles);
+    optimized.Run();
     ProbeZoo reference(seed, /*optimized=*/false);
-    reference.sim.Run(ProbeZoo::kCycles);
+    reference.Run();
 
     EXPECT_GT(optimized.jumps_checked, 100u) << "seed " << seed;
     EXPECT_EQ(optimized.jumps_checked, optimized.sim.skips()) << "seed " << seed;
@@ -618,6 +622,118 @@ TEST(SimulatorSkipTest, EverySkipLandsOnTheBruteForceMinimum) {
     }
     EXPECT_EQ(optimized.work_cycles, reference.work_cycles) << "seed " << seed;
   }
+}
+
+// Caches the clock the way a block ticked every cycle would: its last
+// tick's cycle, 0 before the first. Works only at cycle 0, so the optimized
+// engine parks it for the rest of the run and only the reference engine
+// keeps the cache current.
+class CachingBlock : public Clocked {
+ public:
+  void Tick(Cycle now) override { cached = now; }
+  [[nodiscard]] Cycle NextActivity(Cycle) const override { return kNoActivity; }
+  std::string DebugName() const override { return "caching_block"; }
+  Cycle cached = 0;
+};
+
+// Asks Simulator::ClockOf about a block registered before it, about itself
+// and about a block registered after it, from its own ticks at the listed
+// cycles and from outside any tick, and records the caches beside the
+// answers.
+struct ClockTable {
+  class Caller : public CachingBlock {
+   public:
+    explicit Caller(ClockTable* table) : table_(table) {}
+    void Tick(Cycle now) override {
+      cached = now;
+      if (std::find(kTicks.begin(), kTicks.end(), now) != kTicks.end()) {
+        table_->Record("own tick at " + std::to_string(now));
+      }
+    }
+    [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+      for (const Cycle at : kTicks) {
+        if (at >= now) {
+          return at;
+        }
+      }
+      return kNoActivity;
+    }
+
+   private:
+    ClockTable* table_;
+  };
+
+  static constexpr std::array<Cycle, 3> kTicks{0, 100, 5'000};
+
+  explicit ClockTable(bool optimized) {
+    sim.SetSkipEnabled(optimized);
+    sim.Register(&before);
+    sim.Register(&caller);
+    sim.Register(&after);
+  }
+
+  void Record(const std::string& where) {
+    answers.push_back(where + ": " + Row(sim.ClockOf(before), sim.ClockOf(caller),
+                                         sim.ClockOf(after)));
+    caches.push_back(where + ": " + Row(before.cached, caller.cached, after.cached));
+  }
+  static std::string Row(Cycle a, Cycle b, Cycle c) {
+    return std::to_string(a) + " " + std::to_string(b) + " " + std::to_string(c);
+  }
+
+  void Run() {
+    Record("cycle 0, before any run");
+    sim.ScheduleAt(100, [this](Cycle) { Record("event callback at 100"); });
+    sim.Run(3'000);
+    Record("between runs at 3000");
+    // The predicate runs at the boundary of 5000: right after the jump in the
+    // optimized engine, after cycle 4999's ticks in the reference engine.
+    sim.RunUntil(
+        [this] {
+          if (sim.now() == 5'000 && !saw_5000) {
+            saw_5000 = true;
+            Record("boundary of 5000");
+          }
+          return false;
+        },
+        3'000);
+    Record("between runs at 6000");
+  }
+
+  Simulator sim;
+  CachingBlock before;
+  Caller caller{this};
+  CachingBlock after;
+  bool saw_5000 = false;
+  std::vector<std::string> answers;
+  std::vector<std::string> caches;
+};
+
+TEST(SimulatorClockTest, ClockOfIsTheCachedClockOfABlockTickedEveryCycle) {
+  ClockTable reference(/*optimized=*/false);
+  reference.Run();
+  ClockTable optimized(/*optimized=*/true);
+  optimized.Run();
+
+  const std::vector<std::string> expected = {
+      "cycle 0, before any run: 0 0 0",
+      "own tick at 0: 0 0 0",
+      "event callback at 100: 99 99 99",
+      "own tick at 100: 100 100 99",
+      "between runs at 3000: 2999 2999 2999",
+      "boundary of 5000: 4999 4999 4999",
+      "own tick at 5000: 5000 5000 4999",
+      "between runs at 6000: 5999 5999 5999",
+  };
+  EXPECT_EQ(reference.caches, expected);
+  EXPECT_EQ(reference.answers, reference.caches);
+  EXPECT_EQ(optimized.answers, reference.answers);
+  // The optimized engine jumped to the boundary of 5000 and last ticked the
+  // two bystanders at 100 (the event's conservative re-activation), so its
+  // later answers come from the schedule alone.
+  EXPECT_GE(optimized.sim.skips(), 3u);
+  EXPECT_EQ(optimized.before.cached, 100u);
+  EXPECT_EQ(optimized.after.cached, 100u);
 }
 
 TEST(SimulatorSkipTest, RawQueueReadyCycleIsAnActivityBoundary) {

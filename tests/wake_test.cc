@@ -4,7 +4,9 @@
 // backends, RawQueue, the campaign-flag attackers) or by a per-cycle pin
 // (the supervisor), delivers one input through its wake, and checks that the
 // optimized engine services it on exactly the reference engine's cycles
-// with audit mode on and no violation.
+// with audit mode on and no violation. Two more cases keep every cycle
+// executed and check that a tile parked through them still stamps its fault
+// record with the reference engine's cycle.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -388,6 +390,81 @@ TEST(WakeTest, WatchdogWedgeStampsTheReferenceDetectionCycle) {
     Audit(tb.sim, &out);
     return out;
   });
+}
+
+// Works every cycle, so nothing is ever skipped: a parked tile then sits
+// through executed cycles instead of jumps.
+class Busy : public Clocked {
+ public:
+  void Tick(Cycle) override {}
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override { return now; }
+  std::string DebugName() const override { return "busy"; }
+};
+
+std::vector<Cycle> FaultStamps(const Monitor& monitor) {
+  std::vector<Cycle> stamps;
+  for (const TraceRecord& record : monitor.trace().Snapshot()) {
+    if (record.event == TraceEvent::kFault) {
+      stamps.push_back(record.cycle);
+    }
+  }
+  return stamps;
+}
+
+// A harness fail-stop between runs reaches a tile that has been parked
+// since cycle 0 while every cycle executed; its fault record carries the
+// cycle the tile would have last ticked in the reference engine.
+TEST(WakeTest, ExternalFailStopStampsAParkedTileWithTheReferenceCycle) {
+  auto run = [](bool optimized) {
+    TestBoard tb;
+    UseEngine(tb.sim, optimized);
+    const TileId t = tb.os.Deploy(tb.os.CreateApp("a"), std::make_unique<EchoAccelerator>(0));
+    Busy busy;
+    tb.sim.Register(&busy);
+    tb.sim.Run(12'345);
+    tb.os.FailStop(t, "harness");
+    EXPECT_EQ(tb.sim.skips(), 0u);
+    EXPECT_EQ(tb.sim.audit_violations(), 0u) << tb.sim.audit_first_violation();
+    return FaultStamps(tb.os.monitor(t));
+  };
+  const std::vector<Cycle> ref = run(/*optimized=*/false);
+  EXPECT_EQ(ref, std::vector<Cycle>{12'344});
+  EXPECT_EQ(run(/*optimized=*/true), ref);
+}
+
+// The watchdog scenario above on a board that never skips: the wedged tile
+// stays parked through executed cycles until the watchdog's report
+// fail-stops it, and its fault record matches the reference engine's.
+TEST(WakeTest, WatchdogWedgeOnABusyBoardStampsTheReferenceFaultRecord) {
+  auto run = [](bool optimized) {
+    TestBoardOptions opts;
+    opts.reconfig_cycles = 3'000;
+    TestBoard tb(opts);
+    UseEngine(tb.sim, optimized);
+    auto* mgmt = new MgmtService(&tb.os);
+    tb.os.DeployService(kMgmtService, std::unique_ptr<Accelerator>(mgmt));
+    const TileId wt = tb.os.Deploy(
+        tb.os.CreateApp("a"), std::make_unique<WedgeAccelerator>(~0ull, kInvalidCapRef, 100));
+    (void)tb.os.GrantSendToService(wt, kMgmtService);
+    SupervisorConfig scfg;
+    scfg.poll_period = kPoll;
+    Supervisor sup(&tb.os, scfg);
+    sup.Manage(wt, [] { return std::make_unique<WedgeAccelerator>(~0ull, kInvalidCapRef, 100); });
+    mgmt->SetSupervisor(&sup);
+    TimedAction wedge(kInputAt, [&](Cycle) { tb.os.tile(wt).InjectSeuWedge(); });
+    tb.sim.Register(&wedge);
+    Busy busy;
+    tb.sim.Register(&busy);
+    EXPECT_TRUE(tb.sim.RunUntil(
+        [&] { return sup.counters().Get("supervisor.faults_detected") == 1; }, 20'000));
+    EXPECT_EQ(tb.sim.skips(), 0u);
+    EXPECT_EQ(tb.sim.audit_violations(), 0u) << tb.sim.audit_first_violation();
+    return FaultStamps(tb.os.monitor(wt));
+  };
+  const std::vector<Cycle> ref = run(/*optimized=*/false);
+  ASSERT_EQ(ref.size(), 1u);
+  EXPECT_GT(ref[0], kInputAt);
+  EXPECT_EQ(run(/*optimized=*/true), ref);
 }
 
 // A wake rung from inside another block's NextActivity poll (a const query
