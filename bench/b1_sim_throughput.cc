@@ -92,47 +92,6 @@ class PulseClient : public Accelerator {
   uint64_t received_ = 0;
 };
 
-// Closed-loop driver with a fixed outstanding window; inherits the default
-// always-active NextActivity, so it pins the clock — the saturated shape.
-class WindowedClient : public Accelerator {
- public:
-  WindowedClient(ServiceId svc, uint32_t window) : svc_(svc), window_(window) {}
-
-  void Tick(TileApi& api) override {
-    while (in_flight_ < window_) {
-      Message msg;
-      msg.opcode = kOpEcho;
-      msg.payload.assign(kPayloadBytes, static_cast<uint8_t>(in_flight_));
-      msg.request_id = ++next_id_;
-      if (!api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-        break;
-      }
-      ++in_flight_;
-      ++sent_;
-    }
-  }
-  void OnMessage(const Message& msg, TileApi& api) override {
-    (void)api;
-    if (msg.kind == MsgKind::kResponse) {
-      --in_flight_;
-      ++received_;
-    }
-  }
-  std::string name() const override { return "windowed_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent() const { return sent_; }
-  uint64_t received() const { return received_; }
-
- private:
-  ServiceId svc_;
-  uint32_t window_;
-  uint32_t in_flight_ = 0;
-  uint64_t next_id_ = 0;
-  uint64_t sent_ = 0;
-  uint64_t received_ = 0;
-};
-
 enum class Scenario { kIdle, kLight, kSaturated };
 
 struct RunResult {
@@ -176,7 +135,7 @@ RunResult RunOne(Scenario scenario, bool skip_enabled, bool express, Cycle run_c
   const AppId app = os.CreateApp("b1");
 
   PulseClient* pulse = nullptr;
-  WindowedClient* windowed = nullptr;
+  EchoClient* windowed = nullptr;
   if (scenario != Scenario::kIdle) {
     ServiceId echo_svc = 0;
     os.Deploy(app, std::make_unique<EchoAccelerator>(kEchoServiceCycles), &echo_svc);
@@ -187,7 +146,7 @@ RunResult RunOne(Scenario scenario, bool skip_enabled, bool express, Cycle run_c
       const TileId ct = os.Deploy(app, std::move(client));
       (void)os.GrantSendToService(ct, echo_svc);
     } else {
-      auto client = std::make_unique<WindowedClient>(echo_svc, /*window=*/8);
+      auto client = std::make_unique<EchoClient>(echo_svc, /*window=*/8, kPayloadBytes);
       windowed = client.get();
       const TileId ct = os.Deploy(app, std::move(client));
       (void)os.GrantSendToService(ct, echo_svc);

@@ -37,48 +37,6 @@ constexpr uint32_t kWindow = 16;         // Outstanding requests per client.
 constexpr uint32_t kSmallPayload = 48;   // Inline tier (<= PayloadBuf::kInlineBytes).
 constexpr uint32_t kLargePayload = 240;  // Arena tier.
 
-// Closed-loop echo driver: keeps `window` requests outstanding forever, so
-// the mesh never goes quiescent — every cycle is an executed cycle.
-class SaturatingClient : public Accelerator {
- public:
-  SaturatingClient(ServiceId svc, uint32_t payload_bytes)
-      : svc_(svc), payload_bytes_(payload_bytes) {}
-
-  void Tick(TileApi& api) override {
-    while (in_flight_ < kWindow) {
-      Message msg;
-      msg.opcode = kOpEcho;
-      msg.payload.assign(payload_bytes_, static_cast<uint8_t>(in_flight_));
-      msg.request_id = ++next_id_;
-      if (!api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-        break;
-      }
-      ++in_flight_;
-      ++sent_;
-    }
-  }
-  void OnMessage(const Message& msg, TileApi& api) override {
-    (void)api;
-    if (msg.kind == MsgKind::kResponse) {
-      --in_flight_;
-      ++received_;
-    }
-  }
-  std::string name() const override { return "saturating_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent() const { return sent_; }
-  uint64_t received() const { return received_; }
-
- private:
-  ServiceId svc_;
-  uint32_t payload_bytes_;
-  uint32_t in_flight_ = 0;
-  uint64_t next_id_ = 0;
-  uint64_t sent_ = 0;
-  uint64_t received_ = 0;
-};
-
 struct RunResult {
   double wall_seconds = 0;
   uint64_t sent = 0;
@@ -114,13 +72,13 @@ RunResult Run(Cycle warmup_cycles, Cycle measure_cycles) {
   ApiaryOs& os = bb.os;
   const AppId app = os.CreateApp("b2");
 
-  std::vector<SaturatingClient*> clients;
+  std::vector<EchoClient*> clients;
   for (uint32_t i = 0; i < kPairs; ++i) {
     ServiceId echo_svc = 0;
     os.Deploy(app, std::make_unique<EchoAccelerator>(/*service_cycles=*/0), &echo_svc);
     // Half the pairs exercise the inline tier, half the arena tier.
     const uint32_t bytes = (i % 2 == 0) ? kSmallPayload : kLargePayload;
-    auto client = std::make_unique<SaturatingClient>(echo_svc, bytes);
+    auto client = std::make_unique<EchoClient>(echo_svc, kWindow, bytes);
     clients.push_back(client.get());
     const TileId ct = os.Deploy(app, std::move(client));
     (void)os.GrantSendToService(ct, echo_svc);
@@ -134,7 +92,7 @@ RunResult Run(Cycle warmup_cycles, Cycle measure_cycles) {
   bb.sim.context().arena().ResetStats();
   uint64_t sent0 = 0;
   uint64_t received0 = 0;
-  for (const SaturatingClient* c : clients) {
+  for (const EchoClient* c : clients) {
     sent0 += c->sent();
     received0 += c->received();
   }
@@ -154,7 +112,7 @@ RunResult Run(Cycle warmup_cycles, Cycle measure_cycles) {
   RunResult r;
   r.heap_calls = HeapAllocCalls() - heap0;
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  for (const SaturatingClient* c : clients) {
+  for (const EchoClient* c : clients) {
     r.sent += c->sent();
     r.received += c->received();
   }

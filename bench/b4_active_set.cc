@@ -199,46 +199,6 @@ struct BoardResult {
   }
 };
 
-// Closed-loop echo driver (the B2 shape): keeps a full window outstanding
-// forever, so every cycle is executed and the board never goes quiescent.
-class SaturatingClient : public Accelerator {
- public:
-  explicit SaturatingClient(ServiceId svc) : svc_(svc) {}
-
-  void Tick(TileApi& api) override {
-    while (in_flight_ < 16) {
-      Message msg;
-      msg.opcode = kOpEcho;
-      msg.payload.assign(48, static_cast<uint8_t>(in_flight_));
-      msg.request_id = ++next_id_;
-      if (!api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-        break;
-      }
-      ++in_flight_;
-      ++sent_;
-    }
-  }
-  void OnMessage(const Message& msg, TileApi& api) override {
-    (void)api;
-    if (msg.kind == MsgKind::kResponse) {
-      --in_flight_;
-      ++received_;
-    }
-  }
-  std::string name() const override { return "saturating_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent() const { return sent_; }
-  uint64_t received() const { return received_; }
-
- private:
-  ServiceId svc_;
-  uint32_t in_flight_ = 0;
-  uint64_t next_id_ = 0;
-  uint64_t sent_ = 0;
-  uint64_t received_ = 0;
-};
-
 BoardResult RunBoard(bool active_set, bool express, Cycle run_cycles) {
   BenchBoard bb;
   bb.sim.SetSkipEnabled(active_set);
@@ -246,11 +206,11 @@ BoardResult RunBoard(bool active_set, bool express, Cycle run_cycles) {
   ApiaryOs& os = bb.os;
   const AppId app = os.CreateApp("b4");
 
-  std::vector<SaturatingClient*> clients;
+  std::vector<EchoClient*> clients;
   for (uint32_t i = 0; i < 4; ++i) {
     ServiceId echo_svc = 0;
     os.Deploy(app, std::make_unique<EchoAccelerator>(/*service_cycles=*/0), &echo_svc);
-    auto client = std::make_unique<SaturatingClient>(echo_svc);
+    auto client = std::make_unique<EchoClient>(echo_svc, /*window=*/16, /*payload_bytes=*/48);
     clients.push_back(client.get());
     const TileId ct = os.Deploy(app, std::move(client));
     (void)os.GrantSendToService(ct, echo_svc);
@@ -266,7 +226,7 @@ BoardResult RunBoard(bool active_set, bool express, Cycle run_cycles) {
   r.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   r.mcycles_per_sec =
       r.wall_seconds > 0 ? static_cast<double>(run_cycles) / r.wall_seconds / 1e6 : 0;
-  for (const SaturatingClient* c : clients) {
+  for (const EchoClient* c : clients) {
     r.sent += c->sent();
     r.received += c->received();
   }

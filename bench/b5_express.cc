@@ -93,46 +93,6 @@ class PacedClient : public Accelerator {
   uint64_t received_ = 0;
 };
 
-// Closed-loop driver with a fixed outstanding window (the saturated shape):
-// the inject queue always holds more than one packet, so no corridor ever
-// qualifies and express pays only its probe overhead.
-class WindowedClient : public Accelerator {
- public:
-  explicit WindowedClient(ServiceId svc) : svc_(svc) {}
-
-  void Tick(TileApi& api) override {
-    while (in_flight_ < 16) {
-      Message msg;
-      msg.opcode = kOpEcho;
-      msg.payload.assign(48, static_cast<uint8_t>(in_flight_));
-      msg.request_id = ++next_id_;
-      if (!api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
-        break;
-      }
-      ++in_flight_;
-      ++sent_;
-    }
-  }
-  void OnMessage(const Message& msg, TileApi&) override {
-    if (msg.kind == MsgKind::kResponse) {
-      --in_flight_;
-      ++received_;
-    }
-  }
-  std::string name() const override { return "windowed_client"; }
-  uint32_t LogicCellCost() const override { return 1000; }
-
-  uint64_t sent() const { return sent_; }
-  uint64_t received() const { return received_; }
-
- private:
-  ServiceId svc_;
-  uint32_t in_flight_ = 0;
-  uint64_t next_id_ = 0;
-  uint64_t sent_ = 0;
-  uint64_t received_ = 0;
-};
-
 struct RunResult {
   double wall_seconds = 0;
   double mcycles_per_sec = 0;
@@ -214,11 +174,13 @@ RunResult RunSaturated(bool express, Cycle run_cycles) {
   ApiaryOs& os = bb.os;
   const AppId app = os.CreateApp("b5sat");
 
-  std::vector<WindowedClient*> clients;
+  std::vector<EchoClient*> clients;
   for (uint32_t i = 0; i < 4; ++i) {
     ServiceId svc = 0;
     const TileId st = os.Deploy(app, std::make_unique<EchoAccelerator>(/*service_cycles=*/0), &svc);
-    auto client = std::make_unique<WindowedClient>(svc);
+    // A full window keeps more than one packet in the inject queue, so no
+    // corridor ever qualifies and express pays only its probe overhead.
+    auto client = std::make_unique<EchoClient>(svc, /*window=*/16, /*payload_bytes=*/48);
     clients.push_back(client.get());
     const TileId ct = os.Deploy(app, std::move(client));
     if (st == kInvalidTile || ct == kInvalidTile) {
@@ -239,7 +201,7 @@ RunResult RunSaturated(bool express, Cycle run_cycles) {
   r.mcycles_per_sec =
       r.wall_seconds > 0 ? static_cast<double>(run_cycles) / r.wall_seconds / 1e6 : 0;
   r.end_cycle = bb.sim.now();
-  for (const WindowedClient* c : clients) {
+  for (const EchoClient* c : clients) {
     r.sent += c->sent();
     r.received += c->received();
   }

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/accel/accel_opcodes.h"
 #include "src/core/kernel.h"
 #include "src/core/service_ids.h"
 #include "src/fpga/board.h"
@@ -112,6 +113,50 @@ struct BenchBoard {
   ExternalNetwork net;
   Board board;
   ApiaryOs os;
+};
+
+// Closed-loop windowed echo client: keeps `window` kOpEcho requests of
+// `payload_bytes` outstanding to `svc`, refilling the window on every tick.
+// It never declares quiescence, so a board running one executes every
+// cycle.
+class EchoClient : public Accelerator {
+ public:
+  EchoClient(ServiceId svc, uint32_t window, uint32_t payload_bytes)
+      : svc_(svc), window_(window), payload_bytes_(payload_bytes) {}
+
+  void Tick(TileApi& api) override {
+    while (in_flight_ < window_) {
+      Message msg;
+      msg.opcode = kOpEcho;
+      msg.payload.assign(payload_bytes_, static_cast<uint8_t>(in_flight_));
+      msg.request_id = ++next_id_;
+      if (!api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
+        break;
+      }
+      ++in_flight_;
+      ++sent_;
+    }
+  }
+  void OnMessage(const Message& msg, TileApi&) override {
+    if (msg.kind == MsgKind::kResponse) {
+      --in_flight_;
+      ++received_;
+    }
+  }
+  std::string name() const override { return "echo_client"; }
+  uint32_t LogicCellCost() const override { return 1000; }
+
+  uint64_t sent() const { return sent_; }
+  uint64_t received() const { return received_; }
+
+ private:
+  ServiceId svc_;
+  uint32_t window_;
+  uint32_t payload_bytes_;
+  uint32_t in_flight_ = 0;
+  uint64_t next_id_ = 0;
+  uint64_t sent_ = 0;
+  uint64_t received_ = 0;
 };
 
 // Machine-readable result emitter: the human-facing tables stay on stdout,

@@ -17,7 +17,6 @@
 #include "src/noc/packet_pool.h"
 #include "src/noc/router.h"
 #include "src/sim/clocked.h"
-#include "src/sim/sim_context.h"
 
 namespace apiary {
 
@@ -34,11 +33,9 @@ struct MeshConfig {
 
 class Mesh : public Clocked {
  public:
-  // `context` selects the packet pool: the domain-local pool of the owning
-  // simulator's SimContext when given (the Board constructor path), or a
-  // mesh-private pool when null (standalone meshes in tests/benches).
-  // Either way there is no process-wide pool to contend on.
-  explicit Mesh(MeshConfig config, SimContext* context = nullptr);
+  // Every mesh owns its packet pool, so two boards (one per simulator, one
+  // per thread) share no allocator state.
+  explicit Mesh(MeshConfig config);
 
   void Tick(Cycle now) override;
   // Quiescent when no router buffers a flit, no NI has flits queued for
@@ -63,8 +60,8 @@ class Mesh : public Clocked {
 
   // The pool every packet injected into this mesh is drawn from (monitors
   // reach it through their NI).
-  PacketPool& pool() { return *pool_; }
-  const PacketPool& pool() const { return *pool_; }
+  PacketPool& pool() { return pool_; }
+  const PacketPool& pool() const { return pool_; }
 
   // Installs (or clears, with nullptr) the fault model on every router.
   void SetFaultModel(NocFaultModel* model);
@@ -102,8 +99,8 @@ class Mesh : public Clocked {
   uint64_t LogicCellCost() const;
 
   // The packet pool's statistics, and their reset (bench warmup boundary).
-  PacketPoolStats AggregatePoolStats() const { return pool_->stats(); }
-  void ResetPoolStats() { pool_->ResetStats(); }
+  PacketPoolStats AggregatePoolStats() const { return pool_.stats(); }
+  void ResetPoolStats() { pool_.ResetStats(); }
 
  private:
   // The busy subset of the mesh. `routers`/`nis` are sorted ascending and
@@ -134,8 +131,9 @@ class Mesh : public Clocked {
   void CompactDead();
 
   MeshConfig config_;
-  std::unique_ptr<PacketPool> owned_pool_;  // Set only for standalone meshes.
-  PacketPool* pool_;                        // Context slot pool or owned_pool_.
+  // Declared before every packet holder (routers, NIs, express corridors),
+  // so it is destroyed after the last of them has released its packets.
+  PacketPool pool_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<NetworkInterface>> nis_;
   NocFaultModel* fault_model_ = nullptr;

@@ -79,18 +79,4 @@ void PacketPool::ResetStats() {
   stats_.free_size = free_size;
 }
 
-PacketPool& PacketPool::ForContext(SimContext& context) {
-  // The context destroys slot contents before retiring its arena, so the
-  // freelist packets' payload chunks always have somewhere to go — the
-  // ordering guarantee the old process-wide Meyers singleton needed a
-  // construction-order trick for.
-  void* existing = context.slot(SimContext::kSlotPacketPool);
-  if (existing == nullptr) {
-    context.set_slot(SimContext::kSlotPacketPool, new PacketPool,
-                     [](void* pool) { delete static_cast<PacketPool*>(pool); });
-    existing = context.slot(SimContext::kSlotPacketPool);
-  }
-  return *static_cast<PacketPool*>(existing);
-}
-
 }  // namespace apiary

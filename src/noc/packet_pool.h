@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "src/noc/packet.h"
-#include "src/sim/sim_context.h"
 
 namespace apiary {
 
@@ -59,13 +58,6 @@ class PacketPool {
 
   const PacketPoolStats& stats() const { return stats_; }
   void ResetStats();
-
-  // The domain-local pool for `context`, created on first use in the
-  // context's PacketPool slot (destroyed with the context). This replaced
-  // the old process-wide Default() pool: every simulation domain now
-  // recycles packets privately, so two Simulators on two threads never
-  // share a freelist (tests/parallel_smoke_test.cc).
-  static PacketPool& ForContext(SimContext& context);
 
  private:
   uint32_t max_packets_;

@@ -252,7 +252,7 @@ struct CornerTrafficResult {
 CornerTrafficResult RunCornerToCornerTraffic(uint32_t width, uint32_t height, bool optimized) {
   Simulator sim;
   sim.SetSkipEnabled(optimized);
-  Mesh mesh(MeshConfig{width, height, 8, 128}, &sim.context());
+  Mesh mesh(MeshConfig{width, height, 8, 128});
   sim.Register(&mesh);
   const TileId last = width * height - 1;
   PacketSource source(&mesh, 0, last, 40);
@@ -300,7 +300,7 @@ TEST(MeshTest, EventUnregisteredSourceStillDrainsItsPackets) {
   auto run = [](bool optimized) {
     Simulator sim;
     sim.SetSkipEnabled(optimized);
-    Mesh mesh(MeshConfig{8, 1, 8, 128}, &sim.context());
+    Mesh mesh(MeshConfig{8, 1, 8, 128});
     sim.Register(&mesh);
     PacketSource source(&mesh, 3, 7, 1'000'000);
     PacketSink sink(&mesh, 7);
