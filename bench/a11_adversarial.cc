@@ -8,8 +8,10 @@
 // enforcement refused the attacker, and whether the repeat offender was
 // escalated to quarantine. Acceptance: with enforcement ON the victim's p99
 // stays within 2x of its solo baseline for every attack; the probe sweep
-// leaks nothing in either mode; and the tenant billing records are
-// byte-identical across a rerun and across a skip-disabled rerun.
+// leaks nothing in either mode; the tenant billing records are
+// byte-identical across a rerun and across a skip-disabled rerun; and every
+// attack row, enforcement off and on, reproduces on the reference engine
+// (skip disabled) together with its billing records.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -161,6 +163,15 @@ struct ScenarioResult {
   uint32_t attacker_digest = 0;
   bool audit_clean = false;
 };
+
+// What a run must reproduce on the reference engine: its table row and its
+// billing records.
+bool SameOutcome(const ScenarioResult& a, const ScenarioResult& b) {
+  return a.ok == b.ok && a.errors == b.errors && a.timeouts == b.timeouts && a.p99 == b.p99 &&
+         a.attacker_metric == b.attacker_metric && a.attacker_denied == b.attacker_denied &&
+         a.attacker_escalated == b.attacker_escalated &&
+         a.victim_records == b.victim_records && a.attacker_records == b.attacker_records;
+}
 
 ScenarioResult RunScenario(AttackKind attack, Mode mode, uint64_t seed,
                            const RunConfig& rc, bool skip_enabled) {
@@ -378,6 +389,7 @@ int main(int argc, char** argv) {
   };
   std::vector<AttackRow> rows;
   bool all_deterministic = true;
+  bool all_match_reference = true;
   bool audit_clean = solo.audit_clean;
   for (const AttackKind kind : kAttacks) {
     AttackRow row;
@@ -393,8 +405,11 @@ int main(int argc, char** argv) {
                         noskip.victim_records == row.on.victim_records &&
                         noskip.attacker_records == row.on.attacker_records;
     all_deterministic = all_deterministic && row.deterministic;
+    const ScenarioResult off_noskip = RunScenario(kind, Mode::kOff, kSeed, rc, false);
+    all_match_reference = all_match_reference && SameOutcome(row.off, off_noskip) &&
+                          SameOutcome(row.on, noskip);
     audit_clean = audit_clean && row.off.audit_clean && row.on.audit_clean &&
-                  rerun.audit_clean && noskip.audit_clean;
+                  rerun.audit_clean && noskip.audit_clean && off_noskip.audit_clean;
     rows.push_back(std::move(row));
   }
 
@@ -450,6 +465,9 @@ int main(int argc, char** argv) {
               no_leaks ? "PASS" : "FAIL");
   std::printf("[%s] billing records byte-identical across rerun and no-skip rerun\n",
               all_deterministic ? "PASS" : "FAIL");
+  std::printf("[%s] every row (enforcement off and on) and its billing records match the "
+              "no-skip rerun\n",
+              all_match_reference ? "PASS" : "FAIL");
 
   const std::string json_path = JsonPathArg(argc, argv);
   if (!json_path.empty()) {
@@ -485,5 +503,8 @@ int main(int argc, char** argv) {
     }
     json.WriteFile(json_path);
   }
-  return (all_contained && no_leaks && all_deterministic && audit_clean) ? 0 : 1;
+  return (all_contained && no_leaks && all_deterministic && all_match_reference &&
+          audit_clean)
+             ? 0
+             : 1;
 }
