@@ -207,8 +207,7 @@ SendResult Monitor::SendInternal(Message msg, TileId dst_tile, CapRef mem, CapRe
   return SendResult{MsgStatus::kOk};
 }
 
-void Monitor::FlushOutbox() {
-  const Cycle now = this->now();
+void Monitor::FlushOutbox(Cycle now) {
   while (!outbox_.empty() && outbox_.front().ready_at <= now) {
     Outbound& out = outbox_.front();
     const Vc vc = out.msg.kind == MsgKind::kResponse ? Vc::kResponse : Vc::kRequest;

@@ -46,7 +46,7 @@ struct MonitorConfig {
   size_t trace_capacity = 256;
 };
 
-class Monitor : public TileApi {
+class Monitor final : public TileApi {
  public:
   // `owner` is the block whose clock this monitor reads from `sim` (the
   // tile holding it): trace stamps, pipeline ready times and rate-limit
@@ -97,8 +97,8 @@ class Monitor : public TileApi {
   // ------------------------------------------------------------------
   // Drains the NI and applies incoming policy.
   void BeginCycle();
-  // Moves pipeline-ready outbound messages into the NI.
-  void FlushOutbox();
+  // Moves outbound messages ready by `now` (the tile's tick) into the NI.
+  void FlushOutbox(Cycle now);
 
   // Quiescence support for the owning Tile (same contract as
   // Clocked::NextActivity): the earliest cycle BeginCycle/FlushOutbox has

@@ -118,7 +118,7 @@ void Tile::Tick(Cycle now) {
     }
   }
 
-  monitor_.FlushOutbox();
+  monitor_.FlushOutbox(now);
 }
 
 }  // namespace apiary

@@ -24,8 +24,8 @@ class PacketPool;
 class NetworkInterface {
  public:
   // `pool` is the packet pool senders on this tile draw from (the mesh's
-  // domain pool); the NI itself never allocates, it only hands the pool to
-  // the monitor above it.
+  // own pool); the NI itself never allocates, it only hands the pool to the
+  // monitor above it.
   NetworkInterface(TileId tile, Router* router, uint32_t inject_queue_flits,
                    bool force_single_vc = false, PacketPool* pool = nullptr);
 
@@ -66,8 +66,8 @@ class NetworkInterface {
 
   TileId tile() const { return tile_; }
 
-  // The domain pool packets injected here should come from. Never null on
-  // the Board path (the mesh always wires one in).
+  // The pool packets injected here should come from. Never null inside a
+  // mesh (the mesh always wires its own in).
   PacketPool* pool() const { return pool_; }
 
   // Live-list publication (Mesh active sweep): the first packet queued while
