@@ -22,7 +22,7 @@ uint32_t ActiveSchedule::Add(Clocked* block, Cycle now) {
   // callback runs this cycle (the snapshot was taken after events).
   s.no_tick_before = ticking_ ? now + 1 : 0;
   s.state = State::kActive;
-  block->BindWakeSink(this, slot);
+  block->BindWakeSink(this, slot, s.order);
   ++live_count_;
   InsertActive(slot);
   return slot;
@@ -48,7 +48,7 @@ void ActiveSchedule::Remove(uint32_t slot) {
   } else if (s.state == State::kTimed && !s.timed_far) {
     --near_timed_;
   }
-  s.block->BindWakeSink(nullptr, 0);
+  s.block->BindWakeSink(nullptr, 0, 0);
   s.block = nullptr;
   s.state = State::kFree;
   ++s.gen;  // Invalidates every wheel/far entry for this slot.

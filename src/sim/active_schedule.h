@@ -89,7 +89,7 @@ class ActiveSchedule final : public WakeSink {
   // reference loop reports its position through MarkReached and ends with
   // ClearReached. False outside a tick loop and for a block bound elsewhere.
   bool Reached(const Clocked& block) const {
-    return block.wake_sink_ == this && slots_[block.wake_slot_].order < reached_;
+    return block.wake_sink_ == this && block.wake_order_ < reached_;
   }
   void MarkReached(uint32_t slot) { reached_ = slots_[slot].order + 1; }
   void ClearReached() { reached_ = 0; }

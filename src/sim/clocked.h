@@ -84,9 +84,12 @@ class Clocked {
   }
 
   // Schedule binding; called by ActiveSchedule on add/remove. Not for blocks.
-  void BindWakeSink(WakeSink* sink, uint32_t slot) const {
+  // `order` is the block's registration order, the schedule's tick order:
+  // kept beside the slot so a clock query reads it from the block itself.
+  void BindWakeSink(WakeSink* sink, uint32_t slot, uint64_t order) const {
     wake_sink_ = sink;
     wake_slot_ = slot;
+    wake_order_ = order;
   }
 
  private:
@@ -95,6 +98,7 @@ class Clocked {
   // itself is scheduler bookkeeping, not block state.
   mutable WakeSink* wake_sink_ = nullptr;
   mutable uint32_t wake_slot_ = 0;
+  mutable uint64_t wake_order_ = 0;
 };
 
 // Copyable wake handle for non-Clocked subobjects (a MAC's RX queue, an NI's
