@@ -503,8 +503,7 @@ int main(int argc, char** argv) {
     }
     json.WriteFile(json_path);
   }
-  return (all_contained && no_leaks && all_deterministic && all_match_reference &&
-          audit_clean)
-             ? 0
-             : 1;
+  const bool ok =
+      all_contained && no_leaks && all_deterministic && all_match_reference && audit_clean;
+  return ok ? 0 : 1;
 }

@@ -673,9 +673,9 @@ struct ClockTable {
   }
 
   void Record(const std::string& where) {
-    answers.push_back(where + ": " + Row(sim.ClockOf(before), sim.ClockOf(caller),
-                                         sim.ClockOf(after)));
-    caches.push_back(where + ": " + Row(before.cached, caller.cached, after.cached));
+    const std::string at = where + ": ";
+    answers.push_back(at + Row(sim.ClockOf(before), sim.ClockOf(caller), sim.ClockOf(after)));
+    caches.push_back(at + Row(before.cached, caller.cached, after.cached));
   }
   static std::string Row(Cycle a, Cycle b, Cycle c) {
     return std::to_string(a) + " " + std::to_string(b) + " " + std::to_string(c);
