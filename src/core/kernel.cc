@@ -32,8 +32,7 @@ ApiaryOs::ApiaryOs(Board& board, MonitorConfig monitor_config)
   tiles_.reserve(n);
   for (TileId t = 0; t < n; ++t) {
     tiles_.push_back(std::make_unique<Tile>(t, &board.mesh().ni(t), monitor_config_,
-                                            board.config().partial_reconfig_cycles,
-                                            board.sim()));
+                                            board.config().partial_reconfig_cycles, board.sim()));
     board.sim().Register(tiles_.back().get());
   }
   segments_ = std::make_unique<SegmentAllocator>(0, board.memory().capacity());
