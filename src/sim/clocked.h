@@ -83,17 +83,18 @@ class Clocked {
     }
   }
 
-  // Schedule binding; called by ActiveSchedule on add/remove. Not for blocks.
-  // `order` is the block's registration order, the schedule's tick order:
-  // kept beside the slot so a clock query reads it from the block itself.
+ private:
+  friend class ActiveSchedule;  // Binds the block and reads the binding.
+
+  // Schedule binding, set by ActiveSchedule on add/remove. `order` is the
+  // block's registration order, the schedule's tick order: kept beside the
+  // slot so a clock query reads it from the block itself.
   void BindWakeSink(WakeSink* sink, uint32_t slot, uint64_t order) const {
     wake_sink_ = sink;
     wake_slot_ = slot;
     wake_order_ = order;
   }
 
- private:
-  friend class ActiveSchedule;  // Reads the binding to answer clock queries.
   // Mutable: RequestWake must be callable from const observers; the binding
   // itself is scheduler bookkeeping, not block state.
   mutable WakeSink* wake_sink_ = nullptr;
