@@ -115,13 +115,15 @@ double RunHostCpu() {
   constexpr Cycle kHostService = 500;  // Syscall + handler (~2us).
   uint64_t total = 0;
   for (int i = 0; i < kCalls; ++i) {
+    // The host's service time is sequenced from here: run until the request
+    // lands, wait out the handler, then submit the response.
+    Cycle landed = kNoActivity;
     bool done = false;
     const Cycle start = sim.now();
-    up.Submit(64 + 53, [&](Cycle) {
-      sim.ScheduleAfter(kHostService, [&](Cycle) {
-        down.Submit(64 + 53, [&](Cycle) { done = true; });
-      });
-    });
+    up.Submit(64 + 53, [&](Cycle now) { landed = now; });
+    sim.RunUntil([&] { return landed != kNoActivity; }, 1'000'000);
+    sim.Run(landed + kHostService - sim.now());
+    down.Submit(64 + 53, [&](Cycle) { done = true; });
     sim.RunUntil([&] { return done; }, 1'000'000);
     total += sim.now() - start;
   }

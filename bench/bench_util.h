@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -25,6 +26,7 @@
 #include "src/services/memory_service.h"
 #include "src/services/network_service.h"
 #include "src/sim/simulator.h"
+#include "src/stats/histogram.h"
 #include "src/stats/table.h"
 
 namespace apiary {
@@ -115,33 +117,51 @@ struct BenchBoard {
   ApiaryOs os;
 };
 
-// Closed-loop windowed echo client: keeps `window` kOpEcho requests of
+// Closed-loop windowed client: keeps `window` `opcode` requests of
 // `payload_bytes` outstanding to `svc`, refilling the window on every tick.
-// It never declares quiescence, so a board running one executes every
-// cycle.
+// With a `latency` histogram, records each request's round trip (issue to
+// response, in cycles) there. It never declares quiescence, so a board
+// running one executes every cycle.
 class EchoClient : public Accelerator {
  public:
-  EchoClient(ServiceId svc, uint32_t window, uint32_t payload_bytes)
-      : svc_(svc), window_(window), payload_bytes_(payload_bytes) {}
+  EchoClient(ServiceId svc, uint32_t window, uint32_t payload_bytes, uint16_t opcode = kOpEcho,
+             Histogram* latency = nullptr)
+      : svc_(svc),
+        window_(window),
+        payload_bytes_(payload_bytes),
+        opcode_(opcode),
+        latency_(latency) {}
 
   void Tick(TileApi& api) override {
     while (in_flight_ < window_) {
       Message msg;
-      msg.opcode = kOpEcho;
+      msg.opcode = opcode_;
       msg.payload.assign(payload_bytes_, static_cast<uint8_t>(in_flight_));
-      msg.request_id = ++next_id_;
+      const uint64_t id = ++next_id_;
+      msg.request_id = id;
       if (!api.Send(std::move(msg), api.LookupService(svc_)).ok()) {
         break;
+      }
+      if (latency_ != nullptr) {
+        issued_at_[id] = api.now();
       }
       ++in_flight_;
       ++sent_;
     }
   }
-  void OnMessage(const Message& msg, TileApi&) override {
-    if (msg.kind == MsgKind::kResponse) {
-      --in_flight_;
-      ++received_;
+  void OnMessage(const Message& msg, TileApi& api) override {
+    if (msg.kind != MsgKind::kResponse) {
+      return;
     }
+    if (latency_ != nullptr) {
+      const auto it = issued_at_.find(msg.request_id);
+      if (it != issued_at_.end()) {
+        latency_->Record(api.now() - it->second);
+        issued_at_.erase(it);
+      }
+    }
+    --in_flight_;
+    ++received_;
   }
   std::string name() const override { return "echo_client"; }
   uint32_t LogicCellCost() const override { return 1000; }
@@ -153,10 +173,13 @@ class EchoClient : public Accelerator {
   ServiceId svc_;
   uint32_t window_;
   uint32_t payload_bytes_;
+  uint16_t opcode_;
+  Histogram* latency_;
   uint32_t in_flight_ = 0;
   uint64_t next_id_ = 0;
   uint64_t sent_ = 0;
   uint64_t received_ = 0;
+  std::map<uint64_t, Cycle> issued_at_;  // Request id -> issue cycle, with `latency_` only.
 };
 
 // Machine-readable result emitter: the human-facing tables stay on stdout,

@@ -5,6 +5,7 @@
 // controlled in any way"; Apiary interposes the monitor on every message.
 // The question is what that costs across message sizes.
 #include <cstdio>
+#include <functional>
 
 #include "bench/bench_util.h"
 #include "src/accel/echo.h"
@@ -18,18 +19,47 @@ namespace {
 
 constexpr int kMessages = 300;
 
+// Cleared when a run hits its cycle cap (the latency it would average is a
+// wrapped difference, not a measurement) or records a missed wake.
+bool g_ok = true;
+
+// RunUntil that clears g_ok and reports `what` when `pred` does not fire
+// within `cap` cycles.
+bool RunUntilOrFail(Simulator& sim, const std::function<bool()>& pred, Cycle cap,
+                    const char* what) {
+  if (sim.RunUntil(pred, cap)) {
+    return true;
+  }
+  std::printf("[FAIL] %s: not done within %llu cycles\n", what,
+              static_cast<unsigned long long>(cap));
+  g_ok = false;
+  return false;
+}
+
+// Clears g_ok when `sim` recorded a missed wake in audit mode.
+void CheckAudit(const Simulator& sim, const char* label) {
+  if (!AuditClean(sim, label)) {
+    g_ok = false;
+  }
+}
+
 // One-way latency of a `bytes` message through a raw point-to-point queue.
 double RawQueueOneWay(uint32_t bytes) {
   Simulator sim(250.0);
+  sim.SetAuditEnabled(true);
   RawQueue q(kFlitBytes, 256);
   sim.Register(&q);
   uint64_t total = 0;
   for (int i = 0; i < kMessages; ++i) {
     const Cycle start = sim.now();
     q.Push(PayloadBuf(bytes, 1), sim.now());
-    sim.RunUntil([&] { return q.Pop(sim.now()).has_value(); }, 100000);
+    if (!RunUntilOrFail(sim, [&] { return q.Pop(sim.now()).has_value(); }, 100000,
+                        "raw queue")) {
+      break;
+    }
     total += sim.now() - start;
   }
+  CheckAudit(sim, "raw queue");
   return static_cast<double>(total) / kMessages;
 }
 
@@ -37,6 +67,7 @@ double RawQueueOneWay(uint32_t bytes) {
 // one hop, measured from Send() to delivery at the peer accelerator.
 double ApiaryOneWay(uint32_t bytes, uint32_t hops) {
   BenchBoard bb(BenchBoardOptions{8, 1}, /*deploy_services=*/false);
+  bb.sim.SetAuditEnabled(true);
   AppId app = bb.os.CreateApp("x");
 
   class Sink : public Accelerator {
@@ -73,9 +104,12 @@ double ApiaryOneWay(uint32_t bytes, uint32_t hops) {
     const uint64_t before = sink->received;
     const Cycle start = bb.sim.now();
     bb.os.monitor(st).Send(std::move(msg), cap);
-    bb.sim.RunUntil([&] { return sink->received > before; }, 100000);
+    if (!RunUntilOrFail(bb.sim, [&] { return sink->received > before; }, 100000, "apiary")) {
+      break;
+    }
     total += sink->last_arrival - start;
   }
+  CheckAudit(bb.sim, "apiary");
   return static_cast<double>(total) / kMessages;
 }
 
@@ -84,6 +118,7 @@ double ApiaryOneWay(uint32_t bytes, uint32_t hops) {
 // through host-managed queues.
 double HostedOneWay(uint32_t bytes) {
   Simulator sim(250.0);
+  sim.SetAuditEnabled(true);
   PcieEndpoint up(PcieConfig{});
   PcieEndpoint down(PcieConfig{});
   sim.Register(&up);
@@ -91,16 +126,23 @@ double HostedOneWay(uint32_t bytes) {
   constexpr Cycle kHostSoftwareCycles = 300;  // Queue doorbell + forward.
   uint64_t total = 0;
   for (int i = 0; i < kMessages; ++i) {
+    // The host software's delay is sequenced from here: run until the
+    // upstream transfer lands, wait out the forward, then submit downstream.
     const Cycle start = sim.now();
+    Cycle landed = kNoActivity;
     bool arrived = false;
-    up.Submit(bytes, [&, bytes](Cycle) {
-      sim.ScheduleAfter(kHostSoftwareCycles, [&, bytes](Cycle) {
-        down.Submit(bytes, [&](Cycle) { arrived = true; });
-      });
-    });
-    sim.RunUntil([&] { return arrived; }, 1'000'000);
+    up.Submit(bytes, [&](Cycle now) { landed = now; });
+    if (!RunUntilOrFail(sim, [&] { return landed != kNoActivity; }, 1'000'000, "hosted up")) {
+      break;
+    }
+    sim.Run(landed + kHostSoftwareCycles - sim.now());
+    down.Submit(bytes, [&](Cycle) { arrived = true; });
+    if (!RunUntilOrFail(sim, [&] { return arrived; }, 1'000'000, "hosted down")) {
+      break;
+    }
     total += sim.now() - start;
   }
+  CheckAudit(sim, "hosted");
   return static_cast<double>(total) / kMessages;
 }
 
@@ -129,5 +171,5 @@ int main() {
       "(monitor pipeline + NoC per-hop cost) that is amortized for large messages;\n"
       "hosted IPC is 10-100x worse at small sizes because every message pays two\n"
       "PCIe crossings plus host software.\n");
-  return 0;
+  return g_ok ? 0 : 1;
 }

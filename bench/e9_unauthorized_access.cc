@@ -23,12 +23,14 @@ using namespace apiary;
 int main(int argc, char** argv) {
   std::printf("E9: unauthorized access and revocation (Sections 2, 4.6)\n");
 
+  bool audit_clean = true;
   BenchJson json("e9_unauthorized_access");
   json.Param("snoop_cycles", static_cast<uint64_t>(200000));
 
   // ---- Part A: the snooper's haul. ----
   {
     BenchBoard bb;
+    bb.sim.SetAuditEnabled(true);
     ApiaryOs& os = bb.os;
     AppId victim_app = os.CreateApp("victim");
     ServiceId vsvc = 0;
@@ -54,11 +56,13 @@ int main(int argc, char** argv) {
     json.Metric("denied_local", snoop->denied_local());
     json.Metric("denied_remote", snoop->denied_remote());
     json.Metric("leaked_bytes", snoop->leaked());
+    audit_clean &= AuditClean(bb.sim, "e9 snooper");
   }
 
   // ---- Part B: revocation latency. ----
   {
     BenchBoard bb(BenchBoardOptions{}, /*deploy_services=*/false);
+    bb.sim.SetAuditEnabled(true);
     ApiaryOs& os = bb.os;
     AppId app = os.CreateApp("a");
     ServiceId svc = 0;
@@ -89,6 +93,8 @@ int main(int argc, char** argv) {
     try_send("send with STALE ref after slot reuse", cap);
     try_send("send with the fresh capability", fresh);
     part_b.Print();
+    bb.sim.Run(100);  // Delivers the accepted sends under audit.
+    audit_clean &= AuditClean(bb.sim, "e9 revocation");
   }
 
   const std::string json_path = JsonPathArg(argc, argv);
@@ -102,5 +108,5 @@ int main(int argc, char** argv) {
       "zero victim bytes leak. Revocation flips the capability generation, so the\n"
       "very next send — and any send with a stale ref after slot reuse — fails\n"
       "closed while a freshly granted capability works.\n");
-  return 0;
+  return audit_clean ? 0 : 1;
 }

@@ -20,6 +20,7 @@ using namespace apiary;
 
 int main() {
   BenchBoard bb(BenchBoardOptions{4, 4, "VU9P"});
+  bb.sim.SetAuditEnabled(true);
   ApiaryOs& os = bb.os;
 
   // Two applications, as drawn in Figure 1.
@@ -144,8 +145,8 @@ int main() {
   std::printf("\ngranted intra-app edges delivered: %d/%d\n", intra_app_delivered,
               intra_app_expected);
   std::printf("cross-application deliveries:       %d (must be 0)\n", cross_app_leaks);
-  std::printf("result: %s\n", cross_app_leaks == 0 && intra_app_delivered == intra_app_expected
-                                  ? "PASS — the Figure 1 isolation property holds"
-                                  : "FAIL");
-  return cross_app_leaks == 0 ? 0 : 1;
+  const bool pass = cross_app_leaks == 0 && intra_app_delivered == intra_app_expected;
+  std::printf("result: %s\n", pass ? "PASS — the Figure 1 isolation property holds" : "FAIL");
+  const bool audit_clean = AuditClean(bb.sim, "fig1");
+  return pass && audit_clean ? 0 : 1;
 }

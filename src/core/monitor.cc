@@ -95,7 +95,14 @@ bool Monitor::EnqueuePacket(const Message& msg, TileId dst_tile, Cycle now) {
   if (outbox_.size() >= config_.outbox_messages) {
     return false;
   }
+  const bool was_empty = outbox_.empty();
   outbox_.push_back(Outbound{now + config_.send_pipeline_cycles, dst_tile, msg});
+  if (was_empty) {
+    // A send made outside the tile's tick (a harness or another block
+    // driving this monitor) lands in a parked tile; the outbox front is now
+    // its NextActivity.
+    owner_wake_.Wake();
+  }
   return true;
 }
 

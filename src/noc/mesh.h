@@ -78,7 +78,6 @@ class Mesh : public Clocked {
   // ordinary buffered flits, so traces/counters/billing stay byte-identical
   // either way.
   void SetExpressEnabled(bool enabled);
-  bool express_enabled() const { return express_enabled_; }
   // Converts every in-flight corridor back to buffered flits at the current
   // state boundary. Called by FaultInjector::Fire before a NoC window opens,
   // and by every reconfiguration entry point.

@@ -26,7 +26,6 @@ class TokenBucket {
   bool WouldAllow(Cycle now, uint64_t cost);
 
   bool unlimited() const { return unlimited_; }
-  uint64_t rate_per_1k() const { return rate_per_1k_; }
 
  private:
   void Refill(Cycle now);

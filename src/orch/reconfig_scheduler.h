@@ -82,11 +82,6 @@ class ReconfigScheduler : public Clocked {
   // (not a noc WindowMeter): orchestration sits below noc in the layering
   // DAG and must not include it.
   void SetRateQuota(uint32_t loads_per_window, Cycle window_cycles);
-  uint64_t quota_loads_in_window(Cycle now) const {
-    return quota_window_cycles_ != 0 && now / quota_window_cycles_ == quota_window_index_
-               ? quota_used_
-               : 0;
-  }
 
  private:
   enum class JobKind : uint8_t { kLoad, kTeardown };

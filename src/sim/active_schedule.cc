@@ -4,6 +4,12 @@
 
 namespace apiary {
 
+void Clocked::RequestWake() const {
+  if (schedule_ != nullptr) {
+    schedule_->Wake(schedule_slot_);
+  }
+}
+
 uint32_t ActiveSchedule::Add(Clocked* block, Cycle now) {
   uint32_t slot;
   if (!free_slots_.empty()) {
@@ -18,11 +24,11 @@ uint32_t ActiveSchedule::Add(Clocked* block, Cycle now) {
   s.order = next_order_++;
   s.deadline = 0;
   // A block registered from inside a Tick() must not tick this cycle (the
-  // reference loop's count snapshot excluded it); one registered from an event
-  // callback runs this cycle (the snapshot was taken after events).
+  // reference loop's count snapshot excluded it); one registered between
+  // runs ticks this cycle (the snapshot is taken when the cycle starts).
   s.no_tick_before = ticking_ ? now + 1 : 0;
   s.state = State::kActive;
-  block->BindWakeSink(this, slot, s.order);
+  block->Bind(this, slot, s.order);
   ++live_count_;
   InsertActive(slot);
   return slot;
@@ -48,7 +54,7 @@ void ActiveSchedule::Remove(uint32_t slot) {
   } else if (s.state == State::kTimed && !s.timed_far) {
     --near_timed_;
   }
-  s.block->BindWakeSink(nullptr, 0, 0);
+  s.block->Bind(nullptr, 0, 0);
   s.block = nullptr;
   s.state = State::kFree;
   ++s.gen;  // Invalidates every wheel/far entry for this slot.
@@ -130,10 +136,10 @@ void ActiveSchedule::ExecuteTicks(Cycle now) {
   ClearReached();
 }
 
-void ActiveSchedule::AdvanceBoundary(Cycle now) {
-  // 1. Pop due timer-wheel entries. Buckets are visited once per cycle in
-  // (last_boundary_, now]; a jump of a full wheel revolution or more visits
-  // every bucket once. Far entries activate straight from the far list.
+void ActiveSchedule::ActivateDue(Cycle now) {
+  // Buckets are visited once per cycle in (last_boundary_, now]; a jump of a
+  // full wheel revolution or more visits every bucket once. Far entries
+  // activate straight from the far list.
   if (near_timed_ > 0 || last_boundary_ + 1 < now) {
     const Cycle gap = now - last_boundary_;
     const Cycle first = gap >= kWheelBuckets ? now - kWheelBuckets + 1 : last_boundary_ + 1;
@@ -180,6 +186,12 @@ void ActiveSchedule::AdvanceBoundary(Cycle now) {
     far_.resize(kept);
     far_min_ = next_min;
   }
+  last_boundary_ = now;
+}
+
+void ActiveSchedule::AdvanceBoundary(Cycle now) {
+  // 1. Pop due timer-wheel entries.
+  ActivateDue(now);
 
   // 2. Re-poll the active list and park the quiescent: declared-future blocks
   // go to the wheel, idle-until-input blocks park on their wake channel.
@@ -209,8 +221,6 @@ void ActiveSchedule::AdvanceBoundary(Cycle now) {
     }
   }
   boundary_wakes_.clear();
-
-  last_boundary_ = now;
 }
 
 Cycle ActiveSchedule::EarliestWork(Cycle now) const {
@@ -261,28 +271,6 @@ size_t ActiveSchedule::CountMissedWakes(Cycle now, const Clocked** first) const 
     }
   }
   return missed;
-}
-
-void ActiveSchedule::RebuildAllActive() {
-  for (auto& bucket : buckets_) {
-    bucket.clear();
-  }
-  far_.clear();
-  far_min_ = kNoActivity;
-  wheel_min_ = kNoActivity;
-  near_timed_ = 0;
-  active_.clear();
-  for (uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    Slot& s = slots_[slot];
-    if (s.state == State::kFree) {
-      continue;
-    }
-    s.state = State::kActive;
-    active_.push_back(slot);
-  }
-  std::sort(active_.begin(), active_.end(), [this](uint32_t a, uint32_t b) {
-    return slots_[a].order < slots_[b].order;
-  });
 }
 
 }  // namespace apiary

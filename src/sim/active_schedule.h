@@ -13,11 +13,12 @@
 // can change behavior. Every block is scheduled the same way, and every
 // transition out of parked quiescence goes through one of:
 //   * the timer wheel (the block's own declared deadline),
-//   * Clocked::RequestWake()/WakeHint (input delivered by another block, or
-//     a method of the block itself mutating its declaration from outside
-//     its Tick).
-// Nothing re-polls a parked block; audit mode (CountMissedWakes) checks that
-// none is holding work.
+//   * Clocked::RequestWake()/WakeHint (input delivered by another block or
+//     by the harness between runs, or a method of the block itself mutating
+//     its declaration from outside its Tick).
+// There is no third way in: nothing re-polls a parked block, and nothing
+// re-activates the whole board. Audit mode (CountMissedWakes) checks that
+// no parked block is holding work.
 #ifndef SRC_SIM_ACTIVE_SCHEDULE_H_
 #define SRC_SIM_ACTIVE_SCHEDULE_H_
 
@@ -29,7 +30,7 @@
 
 namespace apiary {
 
-class ActiveSchedule final : public WakeSink {
+class ActiveSchedule final {
  public:
   ActiveSchedule() = default;
   ActiveSchedule(const ActiveSchedule&) = delete;
@@ -40,20 +41,21 @@ class ActiveSchedule final : public WakeSink {
   // Simulator::ApplyPendingRemovals). The block starts active (conservative:
   // a spurious tick is a no-op). When called while ExecuteTicks is running,
   // the block's first tick is deferred to the next cycle, matching the
-  // reference loop's count snapshot (blocks registered mid-tick start next cycle, while
-  // blocks registered by event callbacks — before the loop — tick same-cycle).
+  // reference loop's count snapshot (blocks registered mid-tick start next
+  // cycle, while blocks registered between runs tick same-cycle).
   uint32_t Add(Clocked* block, Cycle now);
 
   // Removes a block; its slot id is recycled (generation-checked, so stale
   // wheel entries can never alias the new tenant).
   void Remove(uint32_t slot);
 
-  // WakeSink: ends `slot`'s parked quiescence. Insertion keeps registration
-  // order; a wake issued mid-ExecuteTicks by an *earlier*-order block is
-  // deferred to next cycle (the reference loop had already ticked the
-  // sleeper this cycle), while one from a *later*-order block ticks this
-  // cycle (the reference loop had not reached the sleeper yet) — byte-identical visibility.
-  void Wake(uint32_t slot) override;
+  // Ends `slot`'s parked quiescence (Clocked::RequestWake lands here).
+  // Insertion keeps registration order; a wake issued mid-ExecuteTicks by an
+  // *earlier*-order block is deferred to next cycle (the reference loop had
+  // already ticked the sleeper this cycle), while one from a *later*-order
+  // block ticks this cycle (the reference loop had not reached the sleeper
+  // yet) — byte-identical visibility.
+  void Wake(uint32_t slot);
 
   // Ticks the active list for cycle `now`, in registration order.
   void ExecuteTicks(Cycle now);
@@ -65,16 +67,18 @@ class ActiveSchedule final : public WakeSink {
   // effect once the poll loop is done, for this cycle.
   void AdvanceBoundary(Cycle now);
 
+  // Activates every block whose wheel deadline is due by `now` (the first
+  // half of AdvanceBoundary) and parks nothing. All that a stretch of the
+  // reference loop leaves to repair: wakes still landed while it ran, but a
+  // block whose deadline fell due meanwhile may have re-armed for `now` in
+  // its own ticks.
+  void ActivateDue(Cycle now);
+
   // The earliest cycle >= `now` at which this schedule needs an executed
   // cycle: `now` itself while any block is active (O(1)), else the earliest
   // live wheel deadline; kNoActivity when fully idle. Pure (safe to call
   // repeatedly).
   Cycle EarliestWork(Cycle now) const;
-
-  // Conservatively re-activates every block and drops all wheel state. Used
-  // when the optimized mode is re-enabled mid-run with stale state, and
-  // after event callbacks (which may deliver input to any parked block).
-  void RebuildAllActive();
 
   // Audit-mode check (Simulator::SetAuditEnabled): re-polls every parked or
   // wheeled block at the boundary of cycle `now` and counts those
@@ -89,13 +93,12 @@ class ActiveSchedule final : public WakeSink {
   // reference loop reports its position through MarkReached and ends with
   // ClearReached. False outside a tick loop and for a block bound elsewhere.
   bool Reached(const Clocked& block) const {
-    return block.wake_sink_ == this && block.wake_order_ < reached_;
+    return block.schedule_ == this && block.schedule_order_ < reached_;
   }
   void MarkReached(uint32_t slot) { reached_ = slots_[slot].order + 1; }
   void ClearReached() { reached_ = 0; }
 
   size_t size() const { return live_count_; }
-  bool ticking() const { return ticking_; }
 
   // Executed-cycle breakdown (monotonic).
   uint64_t ticked_blocks() const { return ticked_blocks_; }

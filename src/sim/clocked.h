@@ -9,13 +9,7 @@
 
 namespace apiary {
 
-// Destination of a wake request: the schedule a block is currently bound to.
-// Implemented by ActiveSchedule; blocks never see the concrete type.
-class WakeSink {
- public:
-  virtual ~WakeSink() = default;
-  virtual void Wake(uint32_t slot) = 0;
-};
+class ActiveSchedule;
 
 // A Clocked object models a synchronous hardware block: it is ticked once per
 // simulated clock cycle. The simulator ticks all registered objects in
@@ -76,12 +70,9 @@ class Clocked {
   // block's NextActivity poll. Always safe to call: waking an
   // already-active or genuinely idle block is a no-op tick at worst, never a
   // behavior change. Must only be called from the thread running this
-  // block's simulator — see DESIGN.md for the full contract.
-  void RequestWake() const {
-    if (wake_sink_ != nullptr) {
-      wake_sink_->Wake(wake_slot_);
-    }
-  }
+  // block's simulator — see DESIGN.md for the full contract. A no-op while
+  // the block is unregistered. Defined in active_schedule.cc.
+  void RequestWake() const;
 
  private:
   friend class ActiveSchedule;  // Binds the block and reads the binding.
@@ -89,17 +80,17 @@ class Clocked {
   // Schedule binding, set by ActiveSchedule on add/remove. `order` is the
   // block's registration order, the schedule's tick order: kept beside the
   // slot so a clock query reads it from the block itself.
-  void BindWakeSink(WakeSink* sink, uint32_t slot, uint64_t order) const {
-    wake_sink_ = sink;
-    wake_slot_ = slot;
-    wake_order_ = order;
+  void Bind(ActiveSchedule* schedule, uint32_t slot, uint64_t order) const {
+    schedule_ = schedule;
+    schedule_slot_ = slot;
+    schedule_order_ = order;
   }
 
   // Mutable: RequestWake must be callable from const observers; the binding
   // itself is scheduler bookkeeping, not block state.
-  mutable WakeSink* wake_sink_ = nullptr;
-  mutable uint32_t wake_slot_ = 0;
-  mutable uint64_t wake_order_ = 0;
+  mutable ActiveSchedule* schedule_ = nullptr;
+  mutable uint32_t schedule_slot_ = 0;
+  mutable uint64_t schedule_order_ = 0;
 };
 
 // Copyable wake handle for non-Clocked subobjects (a MAC's RX queue, an NI's

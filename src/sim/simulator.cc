@@ -10,8 +10,8 @@ namespace apiary {
 void Simulator::Register(Clocked* block) {
   blocks_.push_back(block);
   // The schedule is kept bound even in the reference mode: wake calls stay
-  // counted, and re-enabling the optimized mode mid-run only needs a
-  // conservative rebuild.
+  // counted and still activate parked blocks, so the optimized mode can be
+  // re-enabled mid-run.
   slots_.push_back(sched_.Add(block, now_));
 }
 
@@ -43,27 +43,20 @@ void Simulator::ApplyPendingRemovals() {
 
 void Simulator::SetSkipEnabled(bool enabled) {
   if (enabled && !skip_enabled_) {
-    // Wheel and parked state went stale while the reference loop ran;
-    // conservatively re-activate everything (spurious ticks are no-ops) and
-    // let the next boundary re-park the quiescent.
-    sched_.RebuildAllActive();
+    // The reference loop pops no wheel entries. One that fell due while it
+    // ran still parks its block, whose own ticks may have moved its work to
+    // this very cycle.
+    sched_.ActivateDue(now_);
   }
   skip_enabled_ = enabled;
 }
 
 void Simulator::Step() {
-  const size_t events_run = events_.RunUntil(now_);
   if (skip_enabled_) {
-    if (events_run > 0) {
-      // Event callbacks are opaque: they may have delivered input to any
-      // parked block. Re-activating everything is byte-safe; events are rare
-      // (setup, arrivals, reconfiguration completions).
-      sched_.RebuildAllActive();
-    }
     sched_.ExecuteTicks(now_);
   } else {
-    // Index-based loop with a count snapshot: callbacks and ticks may
-    // register new blocks, which then start ticking on the next cycle.
+    // Index-based loop with a count snapshot: ticks may register new
+    // blocks, which then start ticking on the next cycle.
     const size_t count = blocks_.size();
     for (size_t i = 0; i < count; ++i) {
       sched_.MarkReached(slots_[i]);
@@ -103,19 +96,11 @@ void Simulator::SkipAhead(Cycle limit) {
   // O(1) when any block is busy; otherwise the earliest live wheel
   // deadline — the minimum of every block's NextActivity, since declarations
   // are pure and every change to one rings a wake.
-  Cycle target = sched_.EarliestWork(now_);
+  const Cycle target = sched_.EarliestWork(now_);
   if (target <= now_) {
     return;
   }
-  if (!events_.empty()) {
-    const Cycle due = events_.NextEventCycle();
-    if (due <= now_) {
-      return;  // An event is due immediately: nothing to skip.
-    }
-    target = std::min(target, due);
-  }
-  target = std::min(target, limit);
-  JumpTo(target);
+  JumpTo(std::min(target, limit));
   if (audit_enabled_) {
     Audit();
   }

@@ -1,5 +1,5 @@
-// The top-level simulation driver: a single global clock domain plus a
-// discrete-event queue.
+// The top-level simulation driver: a single global clock domain. Work reaches
+// a block in exactly one way: its own NextActivity declaration, or a wake.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -9,7 +9,6 @@
 
 #include "src/sim/active_schedule.h"
 #include "src/sim/clocked.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/sim_context.h"
 #include "src/sim/types.h"
 
@@ -36,18 +35,12 @@ class Simulator {
   // the next cycle.
   void Unregister(Clocked* block);
 
-  // Schedules a timed callback on the event queue.
-  void ScheduleAt(Cycle when, EventQueue::Callback cb) {
-    events_.ScheduleAt(when, std::move(cb));
-  }
-  void ScheduleAfter(Cycle delay, EventQueue::Callback cb) {
-    events_.ScheduleAt(now_ + delay, std::move(cb));
-  }
-
   // Runs `cycles` additional cycles. When skipping is enabled (the default),
-  // stretches where every block is quiescent (see Clocked::NextActivity) and
-  // no event is due are fast-forwarded instead of being ticked cycle by
-  // cycle; executed cycles behave exactly as before.
+  // stretches where every block is quiescent (see Clocked::NextActivity) are
+  // fast-forwarded instead of being ticked cycle by cycle; executed cycles
+  // behave exactly as before. A timed action of the harness (a host-software
+  // delay, say) is sequenced from the driver: Run or RunUntil to its cycle,
+  // then act between runs.
   void Run(Cycle cycles);
 
   // Runs until `pred` returns true or `max_cycles` additional cycles have
@@ -70,8 +63,8 @@ class Simulator {
 
   // The cycle `block` last saw, as if it had ticked every cycle: now() once
   // this cycle's tick loop has reached the block in registration order (its
-  // own tick included), and now() - 1 before that — in event callbacks, at
-  // boundaries, right after a jump and between runs (0 at cycle 0). Both
+  // own tick included), and now() - 1 before that — at boundaries, right
+  // after a jump and between runs (0 at cycle 0). Both
   // engines give the same answer whether the block ticked, parked or was
   // skipped over, so a block never caches a clock of its own.
   Cycle ClockOf(const Clocked& block) const {
@@ -98,9 +91,10 @@ class Simulator {
   // fast-forwarded. Disabled is the reference engine and the oracle of
   // tests/differential_harness.h: every cycle is executed and every block is
   // ticked in registration order (`--no-skip`, `--no-active-set`). Seeded
-  // runs are byte-identical either way. Re-enabling mid-run conservatively
-  // re-activates every block (byte-safe: spurious ticks of quiescent blocks
-  // are no-ops).
+  // runs are byte-identical either way, including across a mid-run switch:
+  // the schedule stays bound while the reference loop runs (wakes still
+  // activate parked blocks), and re-enabling activates every block whose
+  // wheel deadline fell due meanwhile.
   void SetSkipEnabled(bool enabled);
 
   // Audit mode, for tests and CI: after every executed cycle (and every
@@ -135,8 +129,8 @@ class Simulator {
  private:
   void Step();
   // Fast-forwards now_ to the earliest cycle in (now_, limit] that the
-  // active schedule or the event queue needs. No-op when some block is
-  // active or in the reference mode.
+  // active schedule needs. No-op when some block is active or in the
+  // reference mode.
   void SkipAhead(Cycle limit);
   // Executes the fast-forward to `target`: counters, the clock, and the
   // post-jump boundary re-establishment.
@@ -161,7 +155,6 @@ class Simulator {
   std::vector<uint32_t> slots_;  // Each block's schedule slot, lockstep with blocks_.
   std::vector<Clocked*> pending_removals_;
   ActiveSchedule sched_;
-  EventQueue events_;
 };
 
 }  // namespace apiary

@@ -12,8 +12,8 @@ using Cycle = uint64_t;
 
 // Sentinel returned by NextActivity hooks (Clocked, Accelerator) meaning
 // "idle until external input arrives" — the block schedules nothing on its
-// own and only wakes because some other (active) block or event pushes work
-// into it.
+// own and only wakes because some other block or the harness driving the
+// simulator pushes work into it.
 inline constexpr Cycle kNoActivity = ~Cycle{0};
 
 // Identifies a tile on the NoC. Tiles are numbered row-major over the mesh.

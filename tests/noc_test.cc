@@ -293,10 +293,10 @@ INSTANTIATE_TEST_SUITE_P(Shapes, MeshShapeTest,
                          ::testing::Values(std::make_tuple(1u, 8u), std::make_tuple(8u, 1u),
                                            std::make_tuple(1u, 3u), std::make_tuple(4u, 4u)));
 
-// A source unregistered by an event at cycle 50 still ticks in cycle 50
+// A source unregistered between runs at cycle 50 still ticks in cycle 50
 // (removal applies at the end of the cycle), so it sends 51 packets, and
 // every one it injected drains to the sink. Both engines agree.
-TEST(MeshTest, EventUnregisteredSourceStillDrainsItsPackets) {
+TEST(MeshTest, SourceUnregisteredBetweenRunsStillDrainsItsPackets) {
   auto run = [](bool optimized) {
     Simulator sim;
     sim.SetSkipEnabled(optimized);
@@ -306,8 +306,9 @@ TEST(MeshTest, EventUnregisteredSourceStillDrainsItsPackets) {
     PacketSink sink(&mesh, 7);
     sim.Register(&source);
     sim.Register(&sink);
-    sim.ScheduleAt(50, [&](Cycle) { sim.Unregister(&source); });
-    sim.Run(400);
+    sim.Run(50);
+    sim.Unregister(&source);
+    sim.Run(350);
     EXPECT_EQ(source.sent(), 51);
     EXPECT_EQ(sink.received(), 51);
     return sink.digest();

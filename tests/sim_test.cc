@@ -1,4 +1,4 @@
-// Unit tests for the simulation kernel: RNG, event queue, simulator loop.
+// Unit tests for the simulation kernel: RNG, CRC, simulator loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "src/orch/reconfig_scheduler.h"
 #include "src/services/load_balancer.h"
 #include "src/sim/crc32.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "tests/test_util.h"
@@ -179,49 +178,6 @@ TEST(RngTest, ZipfDegenerateSizes) {
   EXPECT_EQ(rng.NextZipf(1, 0.99), 0u);
 }
 
-TEST(EventQueueTest, RunsEventsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.ScheduleAt(10, [&](Cycle) { order.push_back(2); });
-  q.ScheduleAt(5, [&](Cycle) { order.push_back(1); });
-  q.ScheduleAt(20, [&](Cycle) { order.push_back(3); });
-  q.RunUntil(20);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueueTest, SameCycleEventsRunInScheduleOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.ScheduleAt(7, [&order, i](Cycle) { order.push_back(i); });
-  }
-  q.RunUntil(7);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueueTest, DoesNotRunFutureEvents) {
-  EventQueue q;
-  int ran = 0;
-  q.ScheduleAt(100, [&](Cycle) { ++ran; });
-  q.RunUntil(99);
-  EXPECT_EQ(ran, 0);
-  EXPECT_EQ(q.size(), 1u);
-  q.RunUntil(100);
-  EXPECT_EQ(ran, 1);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, CallbackMaySchedule) {
-  EventQueue q;
-  int ran = 0;
-  q.ScheduleAt(1, [&](Cycle now) {
-    ++ran;
-    q.ScheduleAt(now + 1, [&](Cycle) { ++ran; });
-  });
-  q.RunUntil(5);
-  EXPECT_EQ(ran, 2);
-}
-
 class CountingBlock : public Clocked {
  public:
   void Tick(Cycle) override { ++ticks; }
@@ -267,23 +223,6 @@ TEST(SimulatorTest, RunUntilTimesOut) {
   const bool fired = sim.RunUntil([] { return false; }, 50);
   EXPECT_FALSE(fired);
   EXPECT_EQ(sim.now(), 50u);
-}
-
-TEST(SimulatorTest, ScheduledEventsRunDuringTicks) {
-  Simulator sim;
-  int fired_at = -1;
-  sim.ScheduleAt(13, [&](Cycle now) { fired_at = static_cast<int>(now); });
-  sim.Run(20);
-  EXPECT_EQ(fired_at, 13);
-}
-
-TEST(SimulatorTest, ScheduleAfterIsRelative) {
-  Simulator sim;
-  sim.Run(5);
-  int fired_at = -1;
-  sim.ScheduleAfter(10, [&](Cycle now) { fired_at = static_cast<int>(now); });
-  sim.Run(20);
-  EXPECT_EQ(fired_at, 15);
 }
 
 TEST(SimulatorTest, CyclesToNsUsesFrequency) {
@@ -339,43 +278,6 @@ TEST(SimulatorSkipTest, NoSkipEscapeHatchTicksEveryCycle) {
   EXPECT_EQ(a.ticked_at.size(), 1000u);
   EXPECT_EQ(sim.skips(), 0u);
   EXPECT_EQ(sim.skipped_cycles(), 0u);
-}
-
-TEST(SimulatorSkipTest, EventInsideSkippedWindowFiresAtItsExactCycle) {
-  Simulator sim;
-  SleepyBlock a;
-  sim.Register(&a);
-  std::vector<Cycle> fired_at;
-  // The first event lands mid-window; its callback both wakes the block and
-  // schedules a second event deeper into what would have been skipped.
-  sim.ScheduleAt(500, [&](Cycle now) {
-    fired_at.push_back(now);
-    a.pending = true;
-    sim.ScheduleAt(750, [&](Cycle n2) { fired_at.push_back(n2); });
-  });
-  sim.Run(1000);
-  EXPECT_EQ(fired_at, (std::vector<Cycle>{500, 750}));
-  // The block was woken by the event and ran on that exact cycle.
-  EXPECT_EQ(a.processed_at, (std::vector<Cycle>{500}));
-  // Only the boundary cycles executed: 0, the two event cycles, 750's
-  // follow-up boundary is idle again.
-  EXPECT_EQ(a.ticked_at, (std::vector<Cycle>{0, 500, 750}));
-  EXPECT_EQ(sim.now(), 1000u);
-}
-
-TEST(SimulatorSkipTest, SameCycleEventsKeepScheduleOrderAfterJump) {
-  Simulator sim;
-  SleepyBlock a;
-  sim.Register(&a);
-  std::vector<int> order;
-  for (int i = 0; i < 4; ++i) {
-    sim.ScheduleAt(700, [&order, i](Cycle) { order.push_back(i); });
-  }
-  sim.Run(1000);
-  // The jump lands exactly on the deadline and the queue drains in schedule
-  // order, before that cycle's block ticks (the block observed cycle 700).
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(a.ticked_at, (std::vector<Cycle>{0, 700}));
 }
 
 // A block that re-arms its own timer from inside Tick: fires every 100
@@ -451,12 +353,12 @@ TEST(SimulatorTest, DoubleUnregisterIsHarmless) {
 }
 
 // Randomized skip oracle: timed probes re-arm themselves and feed parked
-// probes (through RequestWake); events wake, poke, chain and unregister
-// probes.
+// probes (through RequestWake); a driver block feeds probes, re-arms itself
+// and unregisters probes at random cycles.
 // Every jump must land exactly on the brute-force minimum of every live
-// probe's NextActivity, the next pending event and the end of the run; no
-// executed cycle may be idle; and every probe must do its work on the same
-// cycles as in the reference mode.
+// block's NextActivity and the end of the run; no executed cycle may be
+// idle; and every probe must do its work on the same cycles as in the
+// reference mode.
 struct ProbeZoo;
 
 class ZooProbe : public Clocked {
@@ -476,7 +378,7 @@ class ZooProbe : public Clocked {
   }
   std::string DebugName() const override { return "zoo_probe"; }
 
-  // Input from another block or an event: a parked probe is woken.
+  // Input from another block: a parked probe is woken.
   void Feed() {
     if (kind_ == Kind::kParked) {
       pending_ = true;
@@ -494,54 +396,66 @@ class ZooProbe : public Clocked {
   bool pending_ = false;
 };
 
+// The zoo's outside world, as a block like any other: parked on the wheel
+// until its earliest pending cycle, where it feeds a probe, adds a later
+// cycle of its own, unregisters a probe or does nothing. Registered first,
+// it acts before the probes tick.
+class ZooDriver : public Clocked {
+ public:
+  explicit ZooDriver(ProbeZoo* zoo) : zoo_(zoo) {}
+
+  void Tick(Cycle now) override;
+  [[nodiscard]] Cycle NextActivity(Cycle now) const override {
+    if (pending.empty()) {
+      return kNoActivity;
+    }
+    return *pending.begin() > now ? *pending.begin() : now;
+  }
+  std::string DebugName() const override { return "zoo_driver"; }
+
+  std::multiset<Cycle> pending;
+
+ private:
+  ProbeZoo* zoo_;
+};
+
 struct ProbeZoo {
   static constexpr Cycle kCycles = 40'000;
 
-  ProbeZoo(uint64_t seed, bool optimized) : rng(seed) {
+  ProbeZoo(uint64_t seed, bool optimized) : rng(seed), driver(this) {
     sim.SetSkipEnabled(optimized);
+    sim.SetAuditEnabled(true);
+    sim.Register(&driver);
     for (int i = 0; i < 12; ++i) {
       const auto kind = static_cast<ZooProbe::Kind>(i % 2);
       probes.push_back(std::make_unique<ZooProbe>(this, kind, rng.NextBelow(500)));
       sim.Register(probes.back().get());
     }
     for (int i = 0; i < 60; ++i) {
-      ScheduleEvent(rng.NextBelow(kCycles));
+      driver.pending.insert(rng.NextBelow(kCycles));
     }
   }
 
   ZooProbe& RandomProbe() { return *probes[rng.NextBelow(probes.size())]; }
 
-  void ScheduleEvent(Cycle when) {
-    pending_events.insert(when);
-    sim.ScheduleAt(when, [this](Cycle now) {
-      pending_events.erase(pending_events.find(now));
-      work_cycles.insert(now);
-      switch (rng.NextBelow(4)) {
-        case 0:
-          RandomProbe().Feed();
-          break;
-        case 1:
-          ScheduleEvent(now + 1 + rng.NextBelow(2'000));
-          break;
-        case 2: {
-          ZooProbe& victim = RandomProbe();
-          if (!victim.removed && removals < 3) {
-            victim.removed = true;
-            ++removals;
-            sim.Unregister(&victim);
-          }
-          break;
-        }
-        default:
-          break;  // A bare event still bounds the skip.
-      }
-    });
+  // Runs the zoo to kCycles. A non-empty [reference_from, reference_to) runs
+  // on the reference engine, switched between runs: optimized -> reference
+  // -> optimized.
+  void Run(Cycle reference_from = kCycles, Cycle reference_to = kCycles) {
+    if (reference_from < reference_to) {
+      RunTo(reference_from);
+      sim.SetSkipEnabled(false);
+      RunTo(reference_to);
+      sim.SetSkipEnabled(true);
+    }
+    RunTo(kCycles);
   }
 
-  // Runs the zoo with a RunUntil predicate, which the simulator evaluates at
-  // every boundary, right before it may jump: each jump must land on the
+  // Runs with a RunUntil predicate, which the simulator evaluates at every
+  // boundary, right before it may jump: each jump must land on the
   // brute-force minimum computed at the boundary it left.
-  void Run() {
+  void RunTo(Cycle end) {
+    limit = end;
     sim.RunUntil(
         [this] {
           if (sim.skips() != skips_seen) {
@@ -553,28 +467,26 @@ struct ProbeZoo {
           jump_target = BruteForceMinimum();
           return false;
         },
-        kCycles);
+        end - sim.now());
   }
 
   Cycle BruteForceMinimum() const {
-    Cycle expected = kCycles;  // The run's limit.
+    Cycle expected = std::min(limit, driver.NextActivity(sim.now()));
     for (const auto& p : probes) {
       if (!p->removed) {
         expected = std::min(expected, p->NextActivity(sim.now()));
       }
-    }
-    if (!pending_events.empty()) {
-      expected = std::min(expected, *pending_events.begin());
     }
     return expected;
   }
 
   Simulator sim;
   Rng rng;
+  ZooDriver driver;
   std::vector<std::unique_ptr<ZooProbe>> probes;
-  std::multiset<Cycle> pending_events;
   std::set<Cycle> work_cycles{0};  // Cycle 0 always executes.
   int removals = 0;
+  Cycle limit = 0;
   uint64_t skips_seen = 0;
   Cycle jumped_from = 0;
   Cycle jump_target = 0;
@@ -603,6 +515,32 @@ void ZooProbe::Tick(Cycle now) {
   }
 }
 
+void ZooDriver::Tick(Cycle now) {
+  while (!pending.empty() && *pending.begin() <= now) {
+    pending.erase(pending.begin());
+    zoo_->work_cycles.insert(now);
+    switch (zoo_->rng.NextBelow(4)) {
+      case 0:
+        zoo_->RandomProbe().Feed();
+        break;
+      case 1:
+        pending.insert(now + 1 + zoo_->rng.NextBelow(2'000));
+        break;
+      case 2: {
+        ZooProbe& victim = zoo_->RandomProbe();
+        if (!victim.removed && zoo_->removals < 3) {
+          victim.removed = true;
+          ++zoo_->removals;
+          zoo_->sim.Unregister(&victim);
+        }
+        break;
+      }
+      default:
+        break;  // A bare pending cycle still bounds the skip.
+    }
+  }
+}
+
 TEST(SimulatorSkipTest, EverySkipLandsOnTheBruteForceMinimum) {
   for (const uint64_t seed : {1u, 2u, 3u}) {
     ProbeZoo optimized(seed, /*optimized=*/true);
@@ -613,14 +551,53 @@ TEST(SimulatorSkipTest, EverySkipLandsOnTheBruteForceMinimum) {
     EXPECT_GT(optimized.jumps_checked, 100u) << "seed " << seed;
     EXPECT_EQ(optimized.jumps_checked, optimized.sim.skips()) << "seed " << seed;
     EXPECT_EQ(reference.jumps_checked, 0u) << "seed " << seed;
-    // No missed skip: every executed cycle had work for a probe or an event.
+    // No missed skip: every executed cycle had work for a probe or the driver.
     EXPECT_EQ(optimized.sim.executed_cycles(), optimized.work_cycles.size()) << "seed " << seed;
+    EXPECT_EQ(optimized.sim.audit_violations(), 0u)
+        << "seed " << seed << ": " << optimized.sim.audit_first_violation();
     EXPECT_EQ(optimized.removals, 3) << "seed " << seed;
     for (size_t i = 0; i < optimized.probes.size(); ++i) {
       EXPECT_EQ(optimized.probes[i]->work, reference.probes[i]->work)
           << "seed " << seed << " probe " << i;
     }
     EXPECT_EQ(optimized.work_cycles, reference.work_cycles) << "seed " << seed;
+  }
+}
+
+// The same zoo with a stretch on the reference engine: switching engines
+// between runs, in both directions, changes no probe's work. The switch back
+// lands once on an arbitrary cycle and once on a cycle where a timed probe's
+// timer fires. That probe's wheel entry fell due while the reference loop
+// ran, so only the boundary the switch establishes ticks it on time.
+TEST(SimulatorSkipTest, SwitchingEnginesMidRunMatchesTheReference) {
+  constexpr Cycle kFrom = 13'331;
+  constexpr Cycle kTo = 26'777;
+  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    ProbeZoo reference(seed, /*optimized=*/false);
+    reference.Run();
+    Cycle timer_fires = ProbeZoo::kCycles;
+    for (size_t i = 0; i < reference.probes.size(); i += 2) {  // The timed probes.
+      const std::vector<Cycle>& work = reference.probes[i]->work;
+      const auto it = std::lower_bound(work.begin(), work.end(), kTo);
+      if (!reference.probes[i]->removed && it != work.end()) {
+        timer_fires = std::min(timer_fires, *it);
+      }
+    }
+    ASSERT_LT(timer_fires, ProbeZoo::kCycles) << "seed " << seed;
+
+    for (const Cycle back : {kTo, timer_fires}) {
+      ProbeZoo toggled(seed, /*optimized=*/true);
+      toggled.Run(kFrom, back);
+      const std::string where = "seed " + std::to_string(seed) + " back " + std::to_string(back);
+      EXPECT_GT(toggled.jumps_checked, 50u) << where;
+      EXPECT_EQ(toggled.jumps_checked, toggled.sim.skips()) << where;
+      EXPECT_EQ(toggled.sim.audit_violations(), 0u)
+          << where << ": " << toggled.sim.audit_first_violation();
+      for (size_t i = 0; i < toggled.probes.size(); ++i) {
+        EXPECT_EQ(toggled.probes[i]->work, reference.probes[i]->work) << where << " probe " << i;
+      }
+      EXPECT_EQ(toggled.work_cycles, reference.work_cycles) << where;
+    }
   }
 }
 
@@ -683,7 +660,6 @@ struct ClockTable {
 
   void Run() {
     Record("cycle 0, before any run");
-    sim.ScheduleAt(100, [this](Cycle) { Record("event callback at 100"); });
     sim.Run(3'000);
     Record("between runs at 3000");
     // The predicate runs at the boundary of 5000: right after the jump in the
@@ -718,7 +694,6 @@ TEST(SimulatorClockTest, ClockOfIsTheCachedClockOfABlockTickedEveryCycle) {
   const std::vector<std::string> expected = {
       "cycle 0, before any run: 0 0 0",
       "own tick at 0: 0 0 0",
-      "event callback at 100: 99 99 99",
       "own tick at 100: 100 100 99",
       "between runs at 3000: 2999 2999 2999",
       "boundary of 5000: 4999 4999 4999",
@@ -728,12 +703,11 @@ TEST(SimulatorClockTest, ClockOfIsTheCachedClockOfABlockTickedEveryCycle) {
   EXPECT_EQ(reference.caches, expected);
   EXPECT_EQ(reference.answers, reference.caches);
   EXPECT_EQ(optimized.answers, reference.answers);
-  // The optimized engine jumped to the boundary of 5000 and last ticked the
-  // two bystanders at 100 (the event's conservative re-activation), so its
-  // later answers come from the schedule alone.
+  // The optimized engine jumped to the boundary of 5000 and ticked the two
+  // bystanders only at 0, so its later answers come from the schedule alone.
   EXPECT_GE(optimized.sim.skips(), 3u);
-  EXPECT_EQ(optimized.before.cached, 100u);
-  EXPECT_EQ(optimized.after.cached, 100u);
+  EXPECT_EQ(optimized.before.cached, 0u);
+  EXPECT_EQ(optimized.after.cached, 0u);
 }
 
 TEST(SimulatorSkipTest, RawQueueReadyCycleIsAnActivityBoundary) {

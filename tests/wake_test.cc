@@ -2,7 +2,8 @@
 // case parks a block whose inputs used to be found by a per-boundary re-poll
 // (the mesh, the Ethernet MACs and the network service, PCIe, both memory
 // backends, RawQueue, the campaign-flag attackers) or by a per-cycle pin
-// (the supervisor), delivers one input through its wake, and checks that the
+// (the supervisor), or whose input arrives from the harness (a monitor's
+// outbox), delivers one input through its wake, and checks that the
 // optimized engine services it on exactly the reference engine's cycles
 // with audit mode on and no violation. Two more cases keep every cycle
 // executed and check that a tile parked through them still stamps its fault
@@ -209,6 +210,32 @@ TEST(WakeTest, RawQueuePushWakesAParkedQueue) {
     EXPECT_TRUE(sim.RunUntil([&] { return queue.Pop(sim.now()).has_value(); }, 10'000));
     out.serviced.push_back(sim.now());
     Audit(sim, &out);
+    return out;
+  });
+}
+
+// A harness Send between runs lands in the outbox of a tile parked since
+// boot. The outbox's first entry wakes the tile, so the message reaches its
+// peer on the reference engine's cycle.
+TEST(WakeTest, HarnessSendWakesAParkedSourceTile) {
+  ExpectServicedLikeReference([](bool optimized) {
+    TestBoard tb;
+    UseEngine(tb.sim, optimized);
+    const AppId app = tb.os.CreateApp("a");
+    ServiceId svc = 0;
+    const TileId dst = tb.os.Deploy(app, std::make_unique<EchoAccelerator>(0), &svc);
+    const TileId src = tb.os.Deploy(app, std::make_unique<EchoAccelerator>(0));
+    const CapRef cap = tb.os.GrantSendToService(src, svc);
+    Outcome out;
+    out.idle_ticks = IdleTicks(tb.sim);
+    out.idle_checks = 1;
+    Message msg;
+    msg.opcode = kOpEcho;
+    EXPECT_TRUE(tb.os.monitor(src).Send(std::move(msg), cap).ok());
+    EXPECT_TRUE(tb.sim.RunUntil(
+        [&] { return tb.os.monitor(dst).counters().Get("monitor.delivered") == 1; }, 10'000));
+    out.serviced.push_back(tb.sim.now());
+    Audit(tb.sim, &out);
     return out;
   });
 }
